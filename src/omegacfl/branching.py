@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cfg import filler_insertion
+from .cfg import _fresh, filler_insertion
 from .kleene import OmegaKleeneExpr, kc_substitute
 from .pushdown import Bpda, Pdm, PdRule, bounded_runs
 from .trees import RegularTree, h_prefix
@@ -56,12 +56,6 @@ def _copy_namer(base_states: frozenset[str]):
         return names
 
 
-def _fresh_token(wanted: str, taken) -> str:
-    while wanted in taken:
-        wanted += "'"
-    return wanted
-
-
 def branch_guess_machine(m: Bpda, separator: str = "A",
                          counter_symbol: str | None = None) -> BranchGuessMachine:
     """Install the nineteen rule groups (a)-(s) over the base machine.
@@ -79,14 +73,14 @@ def branch_guess_machine(m: Bpda, separator: str = "A",
     if separator in sigma:
         raise ValueError(f"separator {separator!r} already an input letter")
     if counter_symbol is None:
-        counter_symbol = _fresh_token("E", set(base.stack_alphabet))
+        counter_symbol = _fresh("E", set(base.stack_alphabet))
     elif counter_symbol in base.stack_alphabet:
         raise ValueError(f"counter symbol {counter_symbol!r} already a stack symbol")
     e = counter_symbol
     copies = _copy_namer(base.states)
     taken = set(base.states) | set(copies.values())
-    reject = _fresh_token("qr", taken)
-    boot = _fresh_token("qb", taken | {reject})
+    reject = _fresh("qr", taken)
+    boot = _fresh("qb", taken)
 
     gamma = tuple(base.stack_alphabet)
     gamma_e = gamma + (e,)
@@ -200,15 +194,23 @@ def branch_evidence(bm: BranchGuessMachine, t: RegularTree, levels: int,
     For silent-move-free finite-state bases on depth-homogeneous trees the
     score is computed by an exact per-level recurrence instead of the
     configuration enumeration, which keeps deep prefixes tractable."""
-    prefix = h_prefix(t, levels, bm.separator)
+    if levels < 0:
+        raise ValueError("levels must be >= 0")
+    if bm.separator in t.labels:
+        raise ValueError(f"separator {bm.separator!r} occurs in the tree alphabet")
+    depth_labels = _depth_labels(t, levels)
+    fast = depth_labels is not None and _fa_encoded(bm.base)
+    # the recurrence reads only the per-depth labels, so it never builds
+    # the coded prefix (2^(levels+1) - 1 labels)
+    symbols = (depth_labels + [bm.separator] if fast
+               else h_prefix(t, levels, bm.separator).symbols)
     machine_alpha = bm.bpda.machine.input_alphabet
-    for s in prefix.symbols:
+    for s in symbols:
         if s not in machine_alpha:
             raise ValueError(f"tree label {s!r} outside the machine alphabet")
-    depth_labels = _depth_labels(t, levels)
-    if depth_labels is not None and _fa_encoded(bm.base):
+    if fast:
         return _fa_evidence(bm, depth_labels)
-    x = Word(machine_alpha, prefix.symbols)
+    x = Word(machine_alpha, symbols)
     reached = bounded_runs(bm.bpda.machine, x, lambda_budget, bm.bpda.final)
     return max(reached.values(), default=0)
 

@@ -154,12 +154,6 @@ def strip_lambda(g: Cfg) -> Cfg:
 
 # ---------------------------------------------------------------- membership
 
-def _earley_tables(g: Cfg):
-    by_head = g.by_head()
-    nullable = nullable_set(g)
-    return by_head, nullable
-
-
 def cfg_member(g: Cfg, x: Word) -> bool:
     """Exact membership via an Earley recognizer (handles lambda rules)."""
     for s in x.symbols:
@@ -169,7 +163,7 @@ def cfg_member(g: Cfg, x: Word) -> bool:
 
 
 def _member_symbols(g: Cfg, syms: tuple[str, ...]) -> bool:
-    by_head, nullable = _earley_tables(g)
+    by_head, nullable = g.by_head(), nullable_set(g)
     n = len(syms)
     top = ("$start$", (g.start,))
     # item: (head, body, dot, origin)
@@ -205,10 +199,7 @@ def _member_symbols(g: Cfg, syms: tuple[str, ...]) -> bool:
                         nxt = (h2, b2, d2 + 1, o2)
                         if nxt not in charts[i]:
                             charts[i].add(nxt)
-                            if origin == i:
-                                work.append(nxt)
-                            else:
-                                work.append(nxt)
+                            work.append(nxt)
     return (top[0], top[1], 1, 0) in charts[n]
 
 

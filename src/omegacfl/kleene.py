@@ -8,8 +8,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal
 
-import numpy as np
-
 from .cfg import (Cfg, Substitution, apply_substitution, cfg_empty,
                   cfg_generates_lambda, lambda_grammar, strip_lambda, _fresh)
 from .gnf import to_gnf
@@ -198,15 +196,28 @@ def _binarized(g: Cfg):
     return bodies
 
 
-def _reach_matrices(g: Cfg, letter_mats: dict[str, np.ndarray], size: int):
-    """M[X][s, t] = some word derivable from X walks the automaton s -> t.
+def _mat_mul(a: list[int], b: list[int]) -> list[int]:
+    """Boolean product of two matrices stored as row bitsets."""
+    out = []
+    for row in a:
+        acc = 0
+        while row:
+            low = row & -row
+            acc |= b[low.bit_length() - 1]
+            row ^= low
+        out.append(acc)
+    return out
+
+
+def _reach_matrices(g: Cfg, letter_mats: dict[str, list[int]], size: int):
+    """M[X][s] has bit t iff some word derivable from X walks the automaton
+    s -> t (matrices are lists of row bitsets).
 
     The empty word contributes the diagonal (only derivable where the
     grammar allows it)."""
     bodies = _binarized(g)
-    heads = {h for h, _ in bodies}
-    mats = {h: np.zeros((size, size), dtype=bool) for h in heads}
-    eye = np.eye(size, dtype=bool)
+    mats = {h: [0] * size for h, _ in bodies}
+    eye = [1 << i for i in range(size)]
 
     def sym_mat(s):
         return letter_mats[s] if s in g.terminals else mats.get(s)
@@ -218,85 +229,85 @@ def _reach_matrices(g: Cfg, letter_mats: dict[str, np.ndarray], size: int):
             if not b:
                 new = eye
             elif len(b) == 1:
-                m = sym_mat(b[0])
-                if m is None:
+                new = sym_mat(b[0])
+                if new is None:
                     continue
-                new = m
             else:
                 m1, m2 = sym_mat(b[0]), sym_mat(b[1])
                 if m1 is None or m2 is None:
                     continue
-                new = (m1.astype(np.uint16) @ m2.astype(np.uint16)) > 0
-            merged = mats[h] | new
-            if not np.array_equal(merged, mats[h]):
+                new = _mat_mul(m1, m2)
+            old = mats[h]
+            merged = [x | y for x, y in zip(old, new)]
+            if merged != old:
                 mats[h] = merged
                 changed = True
     return mats
 
 
-def _transitive_plus(m: np.ndarray) -> np.ndarray:
-    t = m.copy()
-    while True:
-        step = (t.astype(np.uint16) @ t.astype(np.uint16)) > 0
-        merged = t | step
-        if np.array_equal(merged, t):
-            return t
-        t = merged
+def _transitive_plus(m: list[int]) -> list[int]:
+    """Transitive closure (Warshall) of a row-bitset relation."""
+    t = list(m)
+    for k in range(len(t)):
+        bit, row_k = 1 << k, t[k]
+        for i, row in enumerate(t):
+            if row & bit:
+                t[i] = row | row_k
+    return t
 
 
 def _lasso_letter_mats(w: Lasso):
     su, sv = len(w.spoke), len(w.cycle)
     size = su + sv
-    mats = {a: np.zeros((size, size), dtype=bool) for a in w.alphabet}
+    mats = {a: [0] * size for a in w.alphabet}
     for i in range(size):
         j = i + 1 if i + 1 < size else su
-        mats[w.symbol_at(i)][i, j] = True
+        mats[w.symbol_at(i)][i] |= 1 << j
     return mats, size
 
 
 def _line_letter_mats(w: Lasso, bound: int):
     size = bound + 1
-    mats = {a: np.zeros((size, size), dtype=bool) for a in w.alphabet}
+    mats = {a: [0] * size for a in w.alphabet}
     for i in range(bound):
-        mats[w.symbol_at(i)][i, i + 1] = True
+        mats[w.symbol_at(i)][i] |= 1 << (i + 1)
     return mats, size
+
+
+def _block_relations(pair: KcPair, mats: dict[str, list[int]], size: int):
+    """The positions one U word reaches from position 0, and the transitive
+    closure of the one-V-block relation; None when U or V derives nothing."""
+    mu = _reach_matrices(pair.u, mats, size)
+    mv = _reach_matrices(pair.v, mats, size)
+    if pair.u.start not in mu or pair.v.start not in mv:
+        return None
+    return mu[pair.u.start][0], _transitive_plus(mv[pair.v.start])
 
 
 def _component_unbounded_member(pair: KcPair, w: Lasso) -> bool:
     """Exact membership of the lasso in U.V^omega via the boundary-phase
     closure over the lasso's position automaton."""
-    mats, size = _lasso_letter_mats(w)
-    mu = _reach_matrices(pair.u, mats, size)
-    mv = _reach_matrices(pair.v, mats, size)
-    if pair.u.start not in mu or pair.v.start not in mv:
+    rel = _block_relations(pair, *_lasso_letter_mats(w))
+    if rel is None:
         return False
-    has_u = mu[pair.u.start][0]
-    ev = mv[pair.v.start]
-    t = _transitive_plus(ev)
-    cyc = np.diag(t)
-    good = cyc | ((t & cyc[None, :]).any(axis=1))
-    return bool((has_u & good).any())
+    b_u, t = rel
+    cyc = sum(1 << i for i, row in enumerate(t) if row >> i & 1)
+    good = cyc | sum(1 << i for i, row in enumerate(t) if row & cyc)
+    return bool(b_u & good)
 
 
 def _component_pumping(pair: KcPair, w: Lasso, bound: int) -> bool:
     """Bounded search for a pumpable factorization of a prefix."""
     su, sv = len(w.spoke), len(w.cycle)
-    mats, size = _line_letter_mats(w, bound)
-    mu = _reach_matrices(pair.u, mats, size)
-    mv = _reach_matrices(pair.v, mats, size)
-    if pair.u.start not in mu or pair.v.start not in mv:
+    rel = _block_relations(pair, *_line_letter_mats(w, bound))
+    if rel is None:
         return False
-    b_u = mu[pair.u.start][0]
-    ev = mv[pair.v.start]
-    t = _transitive_plus(ev)
-    reach = b_u | ((b_u.astype(np.uint16) @ t.astype(np.uint16)) > 0)
-    for k1 in range(su, bound + 1):
-        if not reach[k1]:
-            continue
-        for k2 in range(k1 + sv, bound + 1, sv):
-            if t[k1, k2]:
-                return True
-    return False
+    b_u, t = rel
+    reach = b_u | _mat_mul([b_u], t)[0]
+    # bits sv, 2sv, ...: the cycle-aligned block ends after k1
+    periods = sum(1 << j for j in range(sv, bound + 1, sv))
+    return any(reach >> k1 & 1 and t[k1] >> k1 & periods
+               for k1 in range(su, bound + 1))
 
 
 def lasso_in_kc(e: OmegaKleeneExpr, w: Lasso, bound: int) -> Verdict:

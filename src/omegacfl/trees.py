@@ -16,6 +16,11 @@ from .kleene import OmegaKleeneExpr, omega_kleene
 from .words import Alphabet, Lasso, Word, word
 
 
+# Level n has 2^n nodes, so enumerations and coded prefixes deeper than this
+# are refused rather than allowed to exhaust memory.
+MAX_LEVEL = 22
+
+
 @dataclass(frozen=True, eq=True)
 class RegularTree:
     """A finitely presented labeling of the full infinite binary tree.
@@ -84,7 +89,7 @@ def level_nodes(n: int, order: str = "lex") -> LevelEnumeration:
     its exact reverse."""
     if n < 0:
         raise ValueError("level must be >= 0")
-    if n > 22:
+    if n > MAX_LEVEL:
         raise ValueError("level too large to enumerate")
     if order not in ("lex", "revlex"):
         raise ValueError("order must be 'lex' or 'revlex'")
@@ -105,6 +110,8 @@ def h_prefix(t: RegularTree, levels: int, separator: str = "A") -> Word:
     parity order, every level followed by the separator."""
     if levels < 0:
         raise ValueError("levels must be >= 0")
+    if levels > MAX_LEVEL:
+        raise ValueError(f"levels must be at most {MAX_LEVEL}")
     if separator in t.labels:
         raise ValueError(f"separator {separator!r} occurs in the tree alphabet")
     alpha = t.labels.with_letter(separator)

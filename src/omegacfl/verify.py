@@ -70,6 +70,28 @@ def infinitely_many_ones_bpda() -> Bpda:
 
 # --------------------------------------------------------------- suites
 
+def _oracle_vs_machine(rng, cases, size: int, need: int, attempts: int):
+    """Draw seeded lassos (case i % len(cases) on draw i, each case an
+    expression, its machine and the lasso alphabet) until `need` oracle
+    verdicts are conclusive or `attempts` lassos are drawn.  Returns the
+    conclusive count and the (case index, lasso) pairs whose machine
+    decision differs from the conclusive verdict."""
+    conclusive = 0
+    mismatches = []
+    for i in range(attempts):
+        if conclusive >= need:
+            break
+        e, machine, alpha = cases[i % len(cases)]
+        w = random_lasso(rng, alpha, size, size).normalize()
+        verdict = lasso_in_kc(e, w, 4 * (len(w.spoke) + len(w.cycle)) + 12)
+        if verdict == "unknown":
+            continue
+        conclusive += 1
+        if (verdict == "yes") != machine.accepts_lasso(w):
+            mismatches.append((i % len(cases), w))
+    return conclusive, mismatches
+
+
 def suite_coding(seed: int) -> list[CheckResult]:
     out = []
 
@@ -297,25 +319,17 @@ def suite_bar(seed: int) -> list[CheckResult]:
     e = omega_power(grammar_zero_star_one())
     bm = branch_guess_machine(kc_to_bpda(e), "A")
     img = filler_image_expr(e, "A")
-    rng = _rng(seed, "bar-two-descriptions")
-    conclusive = 0
-    divergences = []
-    for _ in range(200):
-        w = random_lasso(rng, BITS_SEP, 6, 6).normalize()
-        got = bm.bpda.accepts_lasso(w)
-        verdict = lasso_in_kc(img, w, 4 * (len(w.spoke) + len(w.cycle)) + 12)
-        if verdict == "unknown":
-            continue
-        conclusive += 1
-        if (verdict == "yes") != got:
-            divergences.append((w, got, verdict))
+    conclusive, mismatches = _oracle_vs_machine(
+        _rng(seed, "bar-two-descriptions"), [(img, bm.bpda, BITS_SEP)], 6,
+        200, 200)
+    divergences = [w for _, w in mismatches]
     agree = conclusive - len(divergences)
     out.append(CheckResult(
         "bar-two-descriptions: machine vs substitution oracle on 200 seeded "
         f"lassos ({conclusive} conclusive, need >= 150)",
         conclusive >= 150 and not divergences,
         f"agree {agree}/{conclusive}; divergent: "
-        f"{[format_lasso(d[0]) for d in divergences] if divergences else 'none'}"))
+        f"{[format_lasso(w) for w in divergences] if divergences else 'none'}"))
 
     if divergences:
         # every divergence should be a boot run: the machine read one extra
@@ -328,7 +342,7 @@ def suite_bar(seed: int) -> list[CheckResult]:
             (format_lasso(w),
              lasso_in_kc(shifted, w,
                          4 * (len(w.spoke) + len(w.cycle)) + 16))
-            for w, got, verdict in divergences]
+            for w in divergences]
         all_explained = all(v == "yes" for _, v in explained)
         out.append(CheckResult(
             "bar-divergence-characterization: every divergent lasso is in "
@@ -380,19 +394,9 @@ def suite_kc(seed: int) -> list[CheckResult]:
     # conversion vs the factorization oracle on the matched-blocks language
     e2 = omega_power(grammar_matched_blocks())
     m2 = kc_to_bpda(e2)
-    rng = _rng(seed, "kc-blocks")
-    bad2 = []
-    conclusive = 0
-    attempts = 0
-    while conclusive < 200 and attempts < 3000:
-        attempts += 1
-        w = random_lasso(rng, BITS, 6, 6).normalize()
-        verdict = lasso_in_kc(e2, w, 4 * (len(w.spoke) + len(w.cycle)) + 12)
-        if verdict == "unknown":
-            continue
-        conclusive += 1
-        if (verdict == "yes") != m2.accepts_lasso(w):
-            bad2.append(format_lasso(w))
+    conclusive, mismatches = _oracle_vs_machine(
+        _rng(seed, "kc-blocks"), [(e2, m2, BITS)], 6, 200, 3000)
+    bad2 = [format_lasso(w) for _, w in mismatches]
     pinned_ok = (m2.accepts_lasso(lasso(BITS, "", "01"))
                  and not m2.accepts_lasso(lasso(BITS, "", "0")))
     out.append(CheckResult(
@@ -407,19 +411,9 @@ def suite_kc(seed: int) -> list[CheckResult]:
     m3 = kc_to_bpda(e3)
     pinned_in = m3.accepts_lasso(lasso(BITS_SEP, "", ("1", "A", "1")))
     pinned_out = not m3.accepts_lasso(lasso(BITS_SEP, "", ("1", "A", "1", "1", "1")))
-    rng = _rng(seed, "kc-power")
-    bad3 = []
-    conclusive3 = 0
-    attempts = 0
-    while conclusive3 < 100 and attempts < 2000:
-        attempts += 1
-        w = random_lasso(rng, BITS_SEP, 6, 6).normalize()
-        verdict = lasso_in_kc(e3, w, 4 * (len(w.spoke) + len(w.cycle)) + 12)
-        if verdict == "unknown":
-            continue
-        conclusive3 += 1
-        if (verdict == "yes") != m3.accepts_lasso(w):
-            bad3.append(format_lasso(w))
+    conclusive3, mismatches = _oracle_vs_machine(
+        _rng(seed, "kc-power"), [(e3, m3, BITS_SEP)], 6, 100, 2000)
+    bad3 = [format_lasso(w) for _, w in mismatches]
     out.append(CheckResult(
         "kc-power: omega power of the filler-image grammar accepts (1.A.1)"
         f"-cycle, rejects (1.A.111)^w, matches oracle on {conclusive3} "
@@ -428,22 +422,12 @@ def suite_kc(seed: int) -> list[CheckResult]:
         f"in={pinned_in} out={pinned_out} mismatches: {bad3 if bad3 else 'none'}"))
 
     # oracle soundness across builder expressions
-    rng = _rng(seed, "kc-soundness")
-    exprs = [(e1, BITS), (e2, BITS), (e3, BITS_SEP),
-             (coding_complement_expr(BITS), BITS_SEP)]
-    machines = [kc_to_bpda(e) for e, _ in exprs]
-    checked = 0
-    bad4 = []
-    for i in range(240):
-        idx = i % len(exprs)
-        e, alpha = exprs[idx]
-        w = random_lasso(rng, alpha, 5, 5).normalize()
-        verdict = lasso_in_kc(e, w, 4 * (len(w.spoke) + len(w.cycle)) + 12)
-        if verdict == "unknown":
-            continue
-        checked += 1
-        if (verdict == "yes") != machines[idx].accepts_lasso(w):
-            bad4.append((idx, format_lasso(w)))
+    e4 = coding_complement_expr(BITS)
+    cases = [(e1, m1, BITS), (e2, m2, BITS), (e3, m3, BITS_SEP),
+             (e4, kc_to_bpda(e4), BITS_SEP)]
+    checked, mismatches = _oracle_vs_machine(
+        _rng(seed, "kc-soundness"), cases, 5, 240, 240)
+    bad4 = [(idx, format_lasso(w)) for idx, w in mismatches]
     out.append(CheckResult(
         f"kc-oracle-soundness: conclusive oracle verdicts match the exact "
         f"decision on {checked} of 240 sampled instances (need >= 200)",

@@ -214,6 +214,9 @@ def test_generic_path_on_inhomogeneous_tree():
 def test_evidence_rejects_foreign_labels():
     base, _ = ones_bpda()
     bm = branch_guess_machine(base, "A")
-    t = level_homogeneous_tree(lasso(alphabet("x"), "", "x"))
-    with pytest.raises(ValueError):
-        branch_evidence(bm, t, 2, 2)
+    foreign = level_homogeneous_tree(lasso(alphabet("x"), "", "x"))
+    separator = level_homogeneous_tree(lasso(BITS_SEP, "", "1A"))
+    plain = level_homogeneous_tree(lasso(BITS, "", "1"))
+    for t, levels in ((foreign, 2), (separator, 2), (plain, -1)):
+        with pytest.raises(ValueError):
+            branch_evidence(bm, t, levels, 2)

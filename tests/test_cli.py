@@ -76,6 +76,10 @@ def test_code_tree(capsys):
                  "--levels", "3"]) == 0
     out = capsys.readouterr().out.strip()
     assert out == "a.A.a.a.A.a.a.a.a.A.a.a.a.a.a.a.a.a.A"
+    # the coded prefix doubles per level: deep requests are refused
+    assert main(["code-tree", "--tree", data("constant-a.tree"),
+                 "--levels", "23"]) == 2
+    assert "levels must be at most 22" in capsys.readouterr().err
 
 
 def test_kc_to_bpda_artifact_reparses(tmp_path, capsys):

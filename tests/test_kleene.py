@@ -1,15 +1,22 @@
 """Omega-Kleene expressions: conversion, closure operations, the oracle."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
 from omegacfl import (BuchiAutomaton, Fsm, alphabet, block_encoding_morphism,
                       cfg, kc_substitute, kc_to_bpda, kc_union, lasso,
                       lasso_in_kc, omega_kleene, omega_power)
-from omegacfl.cfg import (empty_grammar, lambda_grammar, letters_grammar,
+from omegacfl.cfg import (apply_substitution, doubling_filler, empty_grammar,
+                          filler_insertion, gap_too_long, gap_too_short,
+                          lambda_grammar, letters_grammar,
                           single_word_grammar)
-from omegacfl.oracles import random_lasso
+from omegacfl.kleene import (_line_letter_mats, _reach_matrices,
+                             _transitive_plus)
+from omegacfl.oracles import cnf_cyk_member, random_lasso
 
 BITS = alphabet("0", "1")
 
@@ -214,3 +221,61 @@ def test_empty_u_component_contributes_nothing():
     assert not m.accepts_lasso(lasso(BITS, "", "01"))
     combined = kc_union(e, omega_power(zero_star_one()))
     assert kc_to_bpda(combined).accepts_lasso(lasso(BITS, "", "01"))
+
+
+def test_line_reach_rows_match_cyk():
+    # bit j of row i of the start symbol's matrix over a word's position
+    # line says the factor x[i:j] is derivable; checked for every factor,
+    # the empty one included, against the CNF/CYK recognizer
+    grammars = [
+        zero_star_one(),
+        cfg(BITS, "S", [("S", ("0", "S", "1")), ("S", ("0", "1"))]),
+        apply_substitution(filler_insertion(BITS, "A"), zero_star_one()),
+        doubling_filler(BITS), gap_too_short(BITS), gap_too_long(BITS),
+        lambda_grammar(BITS)]
+    rng = random.Random(11)
+    for g in grammars:
+        letters = g.terminals.letters
+        members = 0
+        for _ in range(12):
+            n = rng.randint(0, 9)
+            w = lasso(g.terminals, [rng.choice(letters) for _ in range(n)],
+                      letters[:1])
+            x = w.spoke.symbols
+            rows = _reach_matrices(g, *_line_letter_mats(w, n))[g.start]
+            for i, row in enumerate(rows):
+                assert row >> i << i == row  # no bit below the diagonal
+                for j in range(i, n + 1):
+                    got = bool(row >> j & 1)
+                    assert got == cnf_cyk_member(g, x[i:j]), (g.start, x, i, j)
+                    members += got
+        assert members > 0
+
+
+def test_transitive_plus_matches_bfs():
+    rng = random.Random(12)
+    for side in range(1, 71):
+        p = rng.choice((0.01, 0.04, 0.15))
+        m = [sum(1 << j for j in range(side) if rng.random() < p)
+             for _ in range(side)]
+        want = []
+        for i in range(side):
+            seen, todo = 0, [i]
+            while todo:
+                k = todo.pop()
+                for j in range(side):
+                    if m[k] >> j & 1 and not seen >> j & 1:
+                        seen |= 1 << j
+                        todo.append(j)
+            want.append(seen)
+        assert _transitive_plus(m) == want
+
+
+def test_cli_import_needs_no_numpy():
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, omegacfl.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

@@ -61,12 +61,12 @@ def branch_guess_machine(m: Bpda, separator: str = "A",
     """Install the nineteen rule groups (a)-(s) over the base machine.
 
     Groups (a) and (b) leave the fresh boot state, which is the initial
-    state of the result and is never re-entered; groups (c)-(s) are unioned
-    into one nondeterministic transition relation over the base states, their
-    five copies and the reject sink.  The result accepts exactly the filler
-    image of the base language (see `filler_image_expr`).  Final states are
-    the base finals plus their silent-move copies; the boot state is not
-    final.
+    state of the result and is never re-entered (group (a) runs a silent
+    root prefix in the third copy); groups (c)-(s) are unioned into one
+    nondeterministic transition relation over the base states, their five
+    copies and the reject sink.  The result accepts exactly the filler image
+    of the base language (see `filler_image_expr`).  Final states are the
+    base finals plus their silent-move copies; the boot state is not final.
     """
     base = m.machine
     sigma = base.input_alphabet
@@ -97,76 +97,66 @@ def branch_guess_machine(m: Bpda, separator: str = "A",
             raise AssertionError(f"rule {rule} tagged {rules[rule]} and {group}")
         rules[rule] = group
 
-    def c1(q):
-        return copies[(1, q)]
-
-    def c2(q):
-        return copies[(2, q)]
-
-    def c3(q):
-        return copies[(3, q)]
-
-    def c4(q):
-        return copies[(4, q)]
-
-    def c5(q):
-        return copies[(5, q)]
-
-    # (a) simulate the root label with the base initial moves
-    for (q, a, z, p, push) in input_rules:
+    # (a) simulate the root label with the base initial moves.  A silent
+    # prefix runs in the third copy, which has no other move with a base
+    # symbol on top; group (p) of the fifth copy would skip the root label.
+    for (q, a, z, p, push) in base.rules:
+        tgt = p if a is not None else copies[(3, p)]
         if q == q0 and z == z0:
-            add((boot, a, z0, p, push), "a")
+            add((boot, a, z0, tgt, push), "a")
+        if silent_rules:
+            add((copies[(3, q)], a, z, tgt, push), "a")
     # (b) a word may not open with the separator
     add((boot, separator, z0, reject, (z0,)), "b")
     # (c)/(d) skip the rest of the level, one counter push per letter
     for q in sorted(base.states):
         for a in sigma:
             for z in gamma_e:
-                add((q, a, z, c1(q), (e, z)), "c")
-            add((c1(q), a, e, c1(q), (e, e)), "d")
+                add((q, a, z, copies[(1, q)], (e, z)), "c")
+            add((copies[(1, q)], a, e, copies[(1, q)], (e, e)), "d")
     # (e)/(f) cross the separator into the popping phase
     for q in sorted(base.states):
         for z in gamma_e:
-            add((c1(q), separator, z, c2(q), (z,)), "e")
-            add((q, separator, z, c2(q), (z,)), "f")
+            add((copies[(1, q)], separator, z, copies[(2, q)], (z,)), "e")
+            add((q, separator, z, copies[(2, q)], (z,)), "f")
     # (g)/(h) pop one counter per two letters of the next level
     for q in sorted(base.states):
         for a in sigma:
-            add((c2(q), a, e, c3(q), (e,)), "g")
-            add((c3(q), a, e, c2(q), ()), "h")
+            add((copies[(2, q)], a, e, copies[(3, q)], (e,)), "g")
+            add((copies[(3, q)], a, e, copies[(2, q)], ()), "h")
         # (i)/(j) a separator inside the popping phase breaks the code shape
-        add((c2(q), separator, e, reject, (e,)), "i")
-        add((c3(q), separator, e, reject, (e,)), "j")
+        add((copies[(2, q)], separator, e, reject, (e,)), "i")
+        add((copies[(3, q)], separator, e, reject, (e,)), "j")
     # (k) the reject sink consumes everything
     for a in tuple(sigma) + (separator,):
         for z in gamma_e:
             add((reject, a, z, reject, (z,)), "k")
     # (l) simulate the chosen child's label
     for (q, a, z, p, push) in input_rules:
-        add((c2(q), a, z, p, push), "l")
+        add((copies[(2, q)], a, z, p, push), "l")
     # (m)/(n) silent base moves, tracked in the fifth copy
     for (q, a, z, p, push) in silent_rules:
-        add((c2(q), None, z, c5(p), push), "m")
-        add((c5(q), None, z, c5(p), push), "n")
+        add((copies[(2, q)], None, z, copies[(5, p)], push), "m")
+        add((copies[(5, q)], None, z, copies[(5, p)], push), "n")
     # (o) consume the child label after silent moves
     for (q, a, z, p, push) in input_rules:
-        add((c5(q), a, z, p, push), "o")
+        add((copies[(5, q)], a, z, p, push), "o")
     # (p)/(q) wait one letter for the other child
     for q in sorted(base.states):
         for a in sigma:
             for z in gamma:
-                add((c5(q), a, z, c4(q), (z,)), "p")
-                add((c2(q), a, z, c4(q), (z,)), "q")
+                add((copies[(5, q)], a, z, copies[(4, q)], (z,)), "p")
+                add((copies[(2, q)], a, z, copies[(4, q)], (z,)), "q")
     # (r) simulate from the waiting state
     for (q, a, z, p, push) in input_rules:
-        add((c4(q), a, z, p, push), "r")
+        add((copies[(4, q)], a, z, p, push), "r")
     # (s) waiting past the level end breaks the code shape
     for q in sorted(base.states):
         for z in gamma:
-            add((c4(q), separator, z, reject, (z,)), "s")
+            add((copies[(4, q)], separator, z, reject, (z,)), "s")
 
     states = (set(base.states) | set(copies.values()) | {reject, boot})
-    final = frozenset(m.final) | frozenset(c5(q) for q in m.final)
+    final = frozenset(m.final) | frozenset(copies[(5, q)] for q in m.final)
     machine = Pdm(frozenset(states), sigma.with_letter(separator), gamma_e,
                   boot, z0, frozenset(rules))
     state_kind = {q: "base" for q in base.states}
@@ -244,11 +234,8 @@ def _fa_evidence(bm: BranchGuessMachine, depth_labels: list[str]) -> int:
     level.  Mirrors the rule groups exactly; cross-checked against the
     configuration enumeration in the test suite."""
     base = bm.base
-    q0 = base.machine.initial
+    q0, z0 = base.machine.initial, base.machine.start_stack
     final = base.final
-    delta: dict[str, dict[str, list[str]]] = {q: {} for q in base.machine.states}
-    for (q, a, _, p, _) in base.machine.rules:
-        delta[q].setdefault(a, []).append(p)
 
     best_reject = None  # runs absorbed by the reject sink keep their score
 
@@ -260,10 +247,12 @@ def _fa_evidence(bm: BranchGuessMachine, depth_labels: list[str]) -> int:
     # level 0: the boot state simulates the root label (group a); the boot
     # state itself is not final, so only the target's finality counts
     entries = {(p, 0): 1 if p in final else 0
-               for p in delta[q0].get(depth_labels[0], [])}
+               for p, _ in base.machine.moves(q0, depth_labels[0], z0)}
 
     for n in range(1, len(depth_labels)):
+        # every base state reads the level's label x; look its moves up once
         x = depth_labels[n]
+        succ = {q: base.machine.moves(q, x, z0) for q in base.machine.states}
         m = 2 ** n
         reached: dict[tuple[str, int], int] = {}
 
@@ -278,7 +267,7 @@ def _fa_evidence(bm: BranchGuessMachine, depth_labels: list[str]) -> int:
             if 2 * h == m:
                 continue  # popping eats the level; no move on the separator
             rem = m - 2 * h
-            for p in delta[q].get(x, []):
+            for p, _ in succ[q]:
                 c2 = c + (1 if p in final else 0)
                 plant(p, rem - 1, c2)  # group (l): simulate now
                 if rem >= 2:

@@ -14,7 +14,7 @@ from .buchi import BuchiAutomaton, MullerAutomaton
 from .branching import branch_guess_machine
 from .formats import ParseError
 from .kleene import kc_to_bpda, omega_power, kc_substitute
-from .pushdown import Bpda, Mpda, Pdm
+from .pushdown import Bpda, Mpda, inert_stack_bpda
 from .trees import h_prefix
 from .verify import SUITES, run_suite
 from .words import parse_lasso
@@ -50,13 +50,8 @@ def _cmd_check_lasso(args) -> int:
 def _cmd_build_bar(args) -> int:
     machine = formats.parse_machine(_read(args.machine))
     if isinstance(machine, BuchiAutomaton):
-        # encode the finite automaton with an inert stack; the result is a
-        # one-counter machine
-        rules = frozenset((q, a, "Z0", p, ("Z0",))
-                          for (q, a, p) in machine.machine.transitions)
-        machine = Bpda(Pdm(machine.machine.states, machine.machine.alphabet,
-                           ("Z0",), machine.machine.initial, "Z0", rules),
-                       machine.final)
+        # the result is a one-counter machine
+        machine = inert_stack_bpda(machine)
     if not isinstance(machine, Bpda):
         raise ParseError("build-bar needs a Buchi machine")
     bm = branch_guess_machine(machine, args.separator)

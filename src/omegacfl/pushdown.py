@@ -1,16 +1,18 @@
 """Pushdown machines with Buchi / Muller acceptance on omega-words.
 
-Exact lasso acceptance works by taking the product of the machine with the
-lasso's position graph, which yields an input-free Buchi pushdown system,
-and deciding emptiness of that system by repeating-head saturation.
+Exact lasso acceptance works on the product of the machine with the lasso's
+position graph, an input-free Buchi pushdown system whose successors are
+generated on demand from the machine's rule index, and decides emptiness of
+that system by worklist repeating-head saturation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Hashable
 
-from .buchi import _sccs
+from .buchi import BuchiAutomaton, _sccs
 from .words import Alphabet, Lasso, Word
 
 PUSH_CAP = 4
@@ -51,9 +53,17 @@ class Pdm:
                     f"pushed word longer than {PUSH_CAP}; factor it through "
                     "fresh states at construction time")
 
+    @cached_property
+    def rule_index(self) -> dict[tuple[str, str], list[tuple]]:
+        """(state, top) -> [(letter, successor, push)], built on first use."""
+        index: dict[tuple[str, str], list[tuple]] = {}
+        for q, a, z, p, push in self.rules:
+            index.setdefault((q, z), []).append((a, p, push))
+        return index
+
     def moves(self, q: str, a: "str | None", z: str) -> list[tuple[str, tuple[str, ...]]]:
-        return [(p, push) for (q2, a2, z2, p, push) in self.rules
-                if q2 == q and a2 == a and z2 == z]
+        return [(p, push) for a2, p, push in self.rule_index.get((q, z), ())
+                if a2 == a]
 
 
 @dataclass(frozen=True)
@@ -139,7 +149,15 @@ class Bpda:
 
     def accepts_lasso(self, w: Lasso) -> bool:
         """Exact: is u.v^omega in the machine's omega-language?"""
-        return not buchi_pds_empty(product_with_lasso(self, w))
+        return _saturate(*_lasso_system(self, w))
+
+
+def inert_stack_bpda(aut: BuchiAutomaton) -> Bpda:
+    """A finite Buchi automaton as a pushdown machine with an inert stack Z0."""
+    fsm = aut.machine
+    rules = frozenset((q, a, "Z0", p, ("Z0",)) for (q, a, p) in fsm.transitions)
+    return Bpda(Pdm(fsm.states, fsm.alphabet, ("Z0",), fsm.initial, "Z0", rules),
+                aut.final)
 
 
 @dataclass(frozen=True)
@@ -199,126 +217,130 @@ def _phase_step(ph: int, target_final: bool, is_input: bool) -> int:
     return 2 if is_input else 1
 
 
-def product_with_lasso(m: Bpda, w: Lasso) -> BuchiPds:
-    """Product of the machine with the lasso's position graph.
+def _lasso_system(m: Bpda, w: Lasso):
+    """The product of the machine with the lasso's position graph, as the
+    (initial head, successor function, repeating test) that `_saturate`
+    takes; successors are built on demand from the machine's rule index.
 
     Control states are (machine state, lasso position, phase).  The phase
     bits track "a final state was visited, then an input letter was read",
-    so a run of the product hits the repeating set infinitely often exactly
-    when it both consumes the whole omega-word (rather than diverging on
-    silent moves) and visits final states infinitely often.
+    so a run of the product hits phase 2 infinitely often exactly when it
+    both consumes the whole omega-word (rather than diverging on silent
+    moves) and visits final states infinitely often.
     """
     if w.alphabet.letters != m.machine.input_alphabet.letters:
         raise ValueError("lasso alphabet differs from machine input alphabet")
-    su, sv = len(w.spoke), len(w.cycle)
-    length = su + sv
+    index, final = m.machine.rule_index, m.final
+    su, length = len(w.spoke), len(w.spoke) + len(w.cycle)
 
-    def nxt(i: int) -> int:
-        return i + 1 if i + 1 < length else su
-
-    rules: set[PdsRule] = set()
-    states = set()
-    for q, a, z, p, push in m.machine.rules:
-        for i in range(length):
-            for ph in (0, 1, 2):
-                if a is None:
-                    tgt = (p, i, _phase_step(ph, p in m.final, False))
-                elif a == w.symbol_at(i):
-                    tgt = (p, nxt(i), _phase_step(ph, p in m.final, True))
-                else:
-                    continue
-                src = (q, i, ph)
-                rules.add((src, z, tgt, push))
-                states.add(src)
-                states.add(tgt)
+    def moves(state, z: str) -> list:
+        q, i, ph = state
+        letter, nxt = w.symbol_at(i), (i + 1 if i + 1 < length else su)
+        # a silent move keeps the position, an input move reads its letter
+        return [((p, i if a is None else nxt,
+                  _phase_step(ph, p in final, a is not None)), push)
+                for a, p, push in index.get((q, z), ())
+                if a is None or a == letter]
     init = (m.machine.initial, 0, 0)
-    states.add(init)
-    repeating = frozenset(s for s in states if s[2] == 2)
-    return BuchiPds(frozenset(states), m.machine.stack_alphabet, init,
-                    m.machine.start_stack, frozenset(rules), repeating)
+    return (init, m.machine.start_stack), moves, lambda s: s[2] == 2
+
+
+def product_with_lasso(m: Bpda, w: Lasso) -> BuchiPds:
+    """The system of `_lasso_system`, materialized over the control states
+    reachable from its initial one."""
+    (init, z0), moves, repeating = _lasso_system(m, w)
+    states, rules, todo = {init}, set(), [init]
+    while todo:
+        src = todo.pop()
+        for z in m.machine.stack_alphabet:
+            for tgt, push in moves(src, z):
+                rules.add((src, z, tgt, push))
+                if tgt not in states:
+                    states.add(tgt)
+                    todo.append(tgt)
+    return BuchiPds(frozenset(states), m.machine.stack_alphabet, init, z0,
+                    frozenset(rules), frozenset(filter(repeating, states)))
 
 
 def buchi_pds_empty(pds: BuchiPds) -> bool:
-    """True iff no run of the system visits repeating states infinitely often.
-
-    Exact and terminating: computes, over heads (state, top symbol) reachable
-    from the initial configuration, the pop relation with a "visited a
-    repeating state" flag, builds the head reachability graph from it, and
-    looks for a head cycle carrying a repeating visit.
-    """
-    rules_by_head: dict[tuple, list[tuple]] = {}
+    """True iff no run of the system visits repeating states infinitely often."""
+    index: dict[tuple, list[tuple]] = {}
     for p, z, q, push in pds.rules:
-        rules_by_head.setdefault((p, z), []).append((q, push))
-    rep = pds.repeating
+        index.setdefault((p, z), []).append((q, push))
+    return not _saturate((pds.initial, pds.start_stack),
+                         lambda p, z: index.get((p, z), ()),
+                         pds.repeating.__contains__)
 
-    init_head = (pds.initial, pds.start_stack)
-    heads: set[tuple] = {init_head}
+
+def _saturate(init_head, moves, is_repeating) -> bool:
+    """True iff some run from the head `init_head` (state, top symbol)
+    visits repeating control states infinitely often; `moves(p, Z)` lists
+    the (successor, pushed word) pairs of head (p, Z).
+
+    Exact and terminating: computes, over the heads reachable from the
+    initial one, the pop relation with a "visited a repeating state" flag,
+    builds the head reachability graph from it, and looks for a head cycle
+    carrying a repeating visit.  A worklist processes a head again only
+    when a pop set that it read has grown.
+    """
     # pops[(p, Z)][q] = best flag over runs (p, Z-only stack) => (q, empty)
     pops: dict[tuple, dict] = {}
-    # edges[h][h'] = best flag over hidden pop excursions between the heads
-    edges: dict[tuple, dict[tuple, int]] = {}
+    # edges[h][h'] = best flag over hidden pop excursions between the heads;
+    # its keys are the heads reached so far
+    edges: dict[tuple, dict[tuple, int]] = {init_head: {}}
+    # readers[h] = heads whose processing read the pop set of h
+    readers: dict[tuple, set] = {}
+    work = {init_head: None}  # an ordered set, popped last-in first-out
 
-    def upd_pop(head, q, flag) -> bool:
+    def upd_pop(head, q, flag):
         d = pops.setdefault(head, {})
         if d.get(q, -1) < flag:
             d[q] = flag
-            return True
-        return False
+            work.update(dict.fromkeys(readers.get(head, ())))
 
-    def upd_edge(h, h2, flag) -> bool:
-        d = edges.setdefault(h, {})
-        if d.get(h2, -1) < flag:
-            d[h2] = flag
-            return True
-        return False
+    while work:
+        head, _ = work.popitem()
+        p, z = head
+        base = 1 if is_repeating(p) else 0
+        out = edges[head]
+        for q, push in moves(p, z):
+            if not push:
+                upd_pop(head, q, base | (1 if is_repeating(q) else 0))
+                continue
+            # walk the pushed word left to right, popping a prefix of it
+            frontier = {q: 0}
+            for sym in push:
+                nxt_frontier: dict = {}
+                for s, b in frontier.items():
+                    h2 = (s, sym)
+                    if h2 not in edges:
+                        edges[h2] = {}
+                        work[h2] = None
+                    if out.get(h2, -1) < b:
+                        out[h2] = b
+                    readers.setdefault(h2, set()).add(head)
+                    for t, b2 in pops.get(h2, {}).items():
+                        val = b | b2
+                        if nxt_frontier.get(t, -1) < val:
+                            nxt_frontier[t] = val
+                frontier = nxt_frontier
+                if not frontier:
+                    break
+            else:
+                for t, b in frontier.items():
+                    upd_pop(head, t, base | b)
 
-    changed = True
-    while changed:
-        changed = False
-        for head in list(heads):
-            p, z = head
-            for q, push in rules_by_head.get((p, z), []):
-                if not push:
-                    if upd_pop(head, q, 1 if (p in rep or q in rep) else 0):
-                        changed = True
-                    continue
-                # walk the pushed word left to right, popping a prefix of it
-                frontier = {q: 0}
-                for j, sym in enumerate(push):
-                    for s, b in frontier.items():
-                        h2 = (s, sym)
-                        if h2 not in heads:
-                            heads.add(h2)
-                            changed = True
-                        if upd_edge(head, h2, b):
-                            changed = True
-                    nxt_frontier: dict = {}
-                    for s, b in frontier.items():
-                        for t, b2 in pops.get((s, sym), {}).items():
-                            val = b | b2
-                            if nxt_frontier.get(t, -1) < val:
-                                nxt_frontier[t] = val
-                    frontier = nxt_frontier
-                    if not frontier:
-                        break
-                else:
-                    base = 1 if p in rep else 0
-                    for t, b in frontier.items():
-                        if upd_pop(head, t, base | b):
-                            changed = True
-
-    return not _good_cycle(heads, edges, rep)
+    return _good_cycle(edges, is_repeating)
 
 
-def _good_cycle(heads, edges, rep) -> bool:
-    graph = {h: list(edges.get(h, {})) for h in heads}
-    for comp in _sccs(graph):
+def _good_cycle(edges, is_repeating) -> bool:
+    for comp in _sccs(edges):
         internal = [(h, h2, f) for h in comp
-                    for h2, f in edges.get(h, {}).items() if h2 in comp]
+                    for h2, f in edges[h].items() if h2 in comp]
         if not internal:
             continue
         if any(f == 1 for _, _, f in internal):
             return True
-        if any(h[0] in rep for h in comp):
+        if any(is_repeating(h[0]) for h in comp):
             return True
     return False

@@ -19,7 +19,7 @@ from .branching import branch_guess_machine, branch_evidence, filler_image_expr
 from .oracles import (has_bad_prefix, has_gap_defect_factor, pds_explicit_empty,
                       random_bpda, random_lasso, random_one_counter_pds,
                       random_tree)
-from .pushdown import Bpda, Pdm, buchi_pds_empty
+from .pushdown import buchi_pds_empty, inert_stack_bpda
 from .trees import (coding_complement_expr, f_embed, h_prefix, j_leftmost,
                     level_homogeneous_tree, level_nodes)
 from .words import Alphabet, alphabet, format_lasso, lasso
@@ -57,15 +57,6 @@ def infinitely_many_ones_automaton() -> BuchiAutomaton:
         ("q0", "0", "q0"), ("q0", "1", "qf"),
         ("qf", "0", "q0"), ("qf", "1", "qf")}))
     return BuchiAutomaton(fsm, frozenset({"qf"}))
-
-
-def infinitely_many_ones_bpda() -> Bpda:
-    """The same deterministic acceptor with an inert stack."""
-    aut = infinitely_many_ones_automaton()
-    rules = frozenset((q, a, "Z0", p, ("Z0",))
-                      for (q, a, p) in aut.machine.transitions)
-    m = Pdm(aut.machine.states, BITS, ("Z0",), aut.machine.initial, "Z0", rules)
-    return Bpda(m, aut.final)
 
 
 # --------------------------------------------------------------- suites
@@ -236,9 +227,12 @@ def _rederive_groups(bm) -> dict:
     inputs = [(q, a, z, p, pu) for (q, a, z, p, pu) in base.rules
               if a is not None]
     silents = [(q, a, z, p, pu) for (q, a, z, p, pu) in base.rules if a is None]
-    for (q, a, z, p, pu) in inputs:
+    for (q, a, z, p, pu) in base.rules:
+        target = p if a is not None else cp[(3, p)]
         if q == q0 and z == z0:
-            rules[(boot, a, z0, p, pu)] = "a"
+            rules[(boot, a, z0, target, pu)] = "a"
+        if silents:
+            rules[(cp[(3, q)], a, z, target, pu)] = "a"
     rules[(boot, sep, z0, reject, (z0,))] = "b"
     for q in base.states:
         for a in sigma:
@@ -297,7 +291,7 @@ def suite_bar(seed: int) -> list[CheckResult]:
         rederived = _rederive_groups(bm)
         if rederived != bm.rule_group:
             problems.append(f"machine {i}: rule-group re-derivation differs")
-    fab = infinitely_many_ones_bpda()
+    fab = inert_stack_bpda(infinitely_many_ones_automaton())
     bmf = branch_guess_machine(fab, "A")
     if bmf.bpda.machine.stack_alphabet != ("Z0", bmf.counter_symbol):
         problems.append("finite-automaton input: stack alphabet not {Z0, E}")

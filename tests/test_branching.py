@@ -97,32 +97,66 @@ def test_silent_rules_only_from_silent_base_moves():
     assert all(a is not None for (_, a, _, _, _) in bm.bpda.machine.rules)
 
 
+def silent_start_bpda():
+    """q0 -#-> q1, q1 -1-> q1 with q1 final: the language 1^w, whose runs
+    all start with a silent move."""
+    rules = frozenset({("q0", None, "Z0", "q1", ("Z0",)),
+                       ("q1", "1", "Z0", "q1", ("Z0",))})
+    m = Pdm(frozenset({"q0", "q1"}), BITS, ("Z0",), "q0", "Z0", rules)
+    return Bpda(m, frozenset({"q1"}))
+
+
+def silent_prefixed(b):
+    """The same language behind a silent push and a silent pop made from a
+    fresh initial state before the first letter."""
+    m = b.machine
+    z0 = m.start_stack
+    rules = set(m.rules) | {("sb", None, z0, "sm", ("Y", z0)),
+                            ("sm", None, "Y", m.initial, ())}
+    return Bpda(Pdm(m.states | {"sb", "sm"}, m.input_alphabet,
+                    m.stack_alphabet + ("Y",), "sb", z0, frozenset(rules)),
+                b.final)
+
+
 def test_image_language_is_accepted():
-    # every lasso of the filler image is accepted by the transform
+    # every lasso of the filler image is accepted by the transform, also
+    # for a base whose runs start with a silent move
     e = omega_power(cfg(BITS, "S", [("S", ("0", "S")), ("S", ("1",))]))
-    bm = branch_guess_machine(kc_to_bpda(e), "A")
-    img = filler_image_expr(e, "A")
-    img_machine = kc_to_bpda(img)
-    rng = random.Random(31)
-    accepted = 0
-    for _ in range(250):
-        w = random_lasso(rng, BITS_SEP, 6, 6).normalize()
-        if img_machine.accepts_lasso(w):
-            accepted += 1
-            assert bm.bpda.accepts_lasso(w)
-    assert accepted >= 5
-    for text in (("1", "A", "1"), ("1", "A")):
-        w = lasso(BITS_SEP, "", text)
-        assert img_machine.accepts_lasso(w) and bm.bpda.accepts_lasso(w)
+    ones = omega_power(cfg(BITS, "S", [("S", ("1",))]))
+    cases = [
+        (e, kc_to_bpda(e), 5, [("", "1A1"), ("", "1A")], []),
+        (ones, silent_start_bpda(), 1,
+         [("", "1A"), ("", "1A1"), ("", "10A00"), ("1A", "11A001")],
+         [("", "0A"), ("", "1A111"), ("", "1AA"), ("", "1A0A")]),
+    ]
+    for expr, base, least, members, others in cases:
+        bm = branch_guess_machine(base, "A")
+        img_machine = kc_to_bpda(filler_image_expr(expr, "A"))
+        rng = random.Random(31)
+        accepted = 0
+        for _ in range(250):
+            w = random_lasso(rng, BITS_SEP, 6, 6).normalize()
+            if img_machine.accepts_lasso(w):
+                accepted += 1
+                assert bm.bpda.accepts_lasso(w)
+        assert accepted >= least
+        for u, v in members:
+            w = lasso(BITS_SEP, u, v)
+            assert img_machine.accepts_lasso(w) and bm.bpda.accepts_lasso(w)
+        for u, v in others:
+            w = lasso(BITS_SEP, u, v)
+            assert not img_machine.accepts_lasso(w)
+            assert not bm.bpda.accepts_lasso(w)
 
 
 def test_divergences_are_exactly_boot_runs():
     # boot runs (one extra leading filler block, then the simulation from
     # the initial state) were the transform's only extra words while the
     # first move left the base initial state; the fresh boot state removes
-    # them, also for a base that re-enters its initial state
+    # them, also for a base that re-enters its initial state and for one
+    # whose runs start with silent moves
     e = omega_power(cfg(BITS, "S", [("S", ("0", "S")), ("S", ("1",))]))
-    bases = [kc_to_bpda(e), ones_bpda()[0]]
+    bases = [kc_to_bpda(e), ones_bpda()[0], silent_prefixed(kc_to_bpda(e))]
     machines = [branch_guess_machine(base, "A") for base in bases]
     img = filler_image_expr(e, "A")
     lead = doubling_filler(BITS, "A")

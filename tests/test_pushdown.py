@@ -99,16 +99,37 @@ def test_muller_pushdown_bounded_runs_only():
 
 def test_product_shape():
     e = omega_power(cfg(BITS, "S", [("S", ("0", "S")), ("S", ("1",))]))
-    m = kc_to_bpda(e)
+    base = kc_to_bpda(e)
+    mm = base.machine
+    # the same machine with one more, silent, move at its initial state
+    loop = (mm.initial, None, mm.start_stack, mm.initial, (mm.start_stack,))
+    looped = Bpda(Pdm(mm.states, mm.input_alphabet, mm.stack_alphabet,
+                      mm.initial, mm.start_stack, mm.rules | {loop}),
+                  base.final)
     w = lasso(BITS, "0", "10")
-    pds = product_with_lasso(m, w)
-    k, length = len(m.machine.states), 3
-    assert len(pds.states) <= 3 * k * length
-    assert all(s[2] in (0, 1, 2) for s in pds.states)
-    assert pds.repeating == frozenset(s for s in pds.states if s[2] == 2)
-    # silent moves never advance the position
-    for (p, z, q, push) in pds.rules:
-        pass  # structure validated by construction
+    length = 3
+    for m in (base, looped):
+        pds = product_with_lasso(m, w)
+        k = len(m.machine.states)
+        assert len(pds.states) <= 3 * k * length
+        assert all(s[2] in (0, 1, 2) for s in pds.states)
+        assert pds.repeating == frozenset(s for s in pds.states if s[2] == 2)
+        # silent moves never advance the position; input moves read the
+        # letter at the position and advance it by one, wrapping to |u|
+        silent = wraps = 0
+        for ((q, i, _), z, (p, j, _), push) in pds.rules:
+            letters = {a for (q2, a, z2, p2, push2) in m.machine.rules
+                       if (q2, z2, p2, push2) == (q, z, p, push)}
+            assert letters
+            if j == i:
+                assert None in letters
+                silent += 1
+            else:
+                assert w.symbol_at(i) in letters
+                assert j == (i + 1 if i + 1 < length else len(w.spoke))
+                wraps += i == length - 1
+        assert wraps > 0
+        assert (silent > 0) == (m is looped)
 
 
 def test_empty_repeating_set_is_empty():
@@ -152,6 +173,21 @@ def test_saturation_matches_explicit_oracle():
             continue
         checked += 1
         assert buchi_pds_empty(pds) == explicit
+    # machine-times-lasso products, decided on both paths
+    rng = random.Random(41)
+    checked = nonempty = 0
+    while checked < 200:
+        m = random_bpda(rng, BITS, 4, rng.randint(4, 12))
+        w = random_lasso(rng, BITS, 3, 3)
+        pds = product_with_lasso(m, w)
+        explicit, closed = pds_explicit_empty(pds, 8)
+        if not closed:
+            continue
+        checked += 1
+        nonempty += not explicit
+        assert buchi_pds_empty(pds) == explicit
+        assert m.accepts_lasso(w) == (not explicit)
+    assert nonempty >= 10
 
 
 def test_accepts_lasso_invariant_under_representation():

@@ -336,10 +336,11 @@ def read_expression(path: str) -> OmegaKleeneExpr:
             if current:
                 raise ParseError("pair: block missing U: or V:")
             current = {"open": True}
-        elif (got := _header(ln, "U")) is not None:
-            current["u"] = " ".join(got)
-        elif (got := _header(ln, "V")) is not None:
-            current["v"] = " ".join(got)
+        elif ln[:2] in ("U:", "V:"):
+            got = ln[2:].split()
+            if not got:
+                raise ParseError(f"{ln[:2]} names no grammar file")
+            current[ln[0].lower()] = " ".join(got)
         else:
             raise ParseError(f"unrecognized expression line: {ln!r}")
         if "u" in current and "v" in current:

@@ -214,7 +214,8 @@ def _reach_matrices(g: Cfg, letter_mats: dict[str, list[int]], size: int):
     s -> t (matrices are lists of row bitsets).
 
     The empty word contributes the diagonal (only derivable where the
-    grammar allows it)."""
+    grammar allows it).  The least fixpoint is computed with a worklist: a
+    body is recomputed only when a nonterminal it reads has grown."""
     bodies = _binarized(g)
     mats = {h: [0] * size for h, _ in bodies}
     eye = [1 << i for i in range(size)]
@@ -222,26 +223,35 @@ def _reach_matrices(g: Cfg, letter_mats: dict[str, list[int]], size: int):
     def sym_mat(s):
         return letter_mats[s] if s in g.terminals else mats.get(s)
 
-    changed = True
-    while changed:
-        changed = False
-        for h, b in bodies:
-            if not b:
-                new = eye
-            elif len(b) == 1:
-                new = sym_mat(b[0])
-                if new is None:
-                    continue
-            else:
-                m1, m2 = sym_mat(b[0]), sym_mat(b[1])
-                if m1 is None or m2 is None:
-                    continue
-                new = _mat_mul(m1, m2)
-            old = mats[h]
-            merged = [x | y for x, y in zip(old, new)]
-            if merged != old:
-                mats[h] = merged
-                changed = True
+    readers: dict[str, list[int]] = {}
+    for k, (_, b) in enumerate(bodies):
+        for s in set(b) & mats.keys():
+            readers.setdefault(s, []).append(k)
+    work = list(range(len(bodies)))
+    queued = set(work)
+    while work:
+        k = work.pop()
+        queued.discard(k)
+        h, b = bodies[k]
+        if not b:
+            new = eye
+        elif len(b) == 1:
+            new = sym_mat(b[0])
+            if new is None:
+                continue
+        else:
+            m1, m2 = sym_mat(b[0]), sym_mat(b[1])
+            if m1 is None or m2 is None:
+                continue
+            new = _mat_mul(m1, m2)
+        old = mats[h]
+        merged = [x | y for x, y in zip(old, new)]
+        if merged != old:
+            mats[h] = merged
+            for r in readers.get(h, ()):
+                if r not in queued:
+                    queued.add(r)
+                    work.append(r)
     return mats
 
 

@@ -19,35 +19,34 @@ import pytest
 
 from omegacfl.cli import main
 from omegacfl.formats import parse_machine, read_expression
-from omegacfl.verify import run_suite
 
 SEED = 7
 DATA = os.path.join(os.path.dirname(__file__), "..", "data")
 
 
 @pytest.fixture(scope="module")
-def coding():
-    return run_suite("coding", SEED)
+def coding(suite_results):
+    return suite_results("coding", SEED)
 
 
 @pytest.fixture(scope="module")
-def complement():
-    return run_suite("complement", SEED)
+def complement(suite_results):
+    return suite_results("complement", SEED)
 
 
 @pytest.fixture(scope="module")
-def bar():
-    return run_suite("bar", SEED)
+def bar(suite_results):
+    return suite_results("bar", SEED)
 
 
 @pytest.fixture(scope="module")
-def kc():
-    return run_suite("kc", SEED)
+def kc(suite_results):
+    return suite_results("kc", SEED)
 
 
 @pytest.fixture(scope="module")
-def emptiness():
-    return run_suite("emptiness", SEED)
+def emptiness(suite_results):
+    return suite_results("emptiness", SEED)
 
 
 def _one(results, prefix):

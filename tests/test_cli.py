@@ -1,12 +1,19 @@
 """Command-line surface: verbs, exit codes, reproducible reports."""
 
+import contextlib
+import io
 import os
+import shutil
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from omegacfl import verify
 from omegacfl.cli import main
-from omegacfl.formats import format_mpda, parse_machine, read_expression
+from omegacfl.formats import (format_bpda, format_mpda, parse_machine,
+                              read_expression)
 from omegacfl import Mpda, cfg, alphabet, kc_to_bpda, omega_power
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data")
@@ -135,7 +142,8 @@ def test_check_lasso_muller_automaton(tmp_path, capsys):
     assert main(["check-lasso", "--machine", str(p), "--word", "(0)^w"]) == 1
 
 
-def test_verify_failing_suite_exits_nonzero(monkeypatch, capsys):
+def test_verify_failing_suite_exits_nonzero(monkeypatch, capsys,
+                                            suite_results):
     def suite_failing(seed):
         return [verify.CheckResult("always-passes", True, "ok"),
                 verify.CheckResult("always-fails", False, f"seed {seed}")]
@@ -145,7 +153,10 @@ def test_verify_failing_suite_exits_nonzero(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "FAIL always-fails" in out
     assert "PASS always-passes" in out
-    # the bar suite, two-descriptions check included, holds
+    # the bar suite, two-descriptions check included, holds; its results
+    # are the session's run of the suite at seed 7
+    bar = suite_results("bar", 7)
+    monkeypatch.setitem(verify.SUITES, "bar", lambda seed: {7: bar}[seed])
     assert main(["verify", "--suite", "bar", "--seed", "7"]) == 0
     out = capsys.readouterr().out
     assert "PASS bar-two-descriptions" in out
@@ -166,3 +177,96 @@ def test_verify_reports_are_reproducible(capsys):
 def test_verify_unknown_suite():
     with pytest.raises(SystemExit):
         main(["verify", "--suite", "nope"])
+
+
+# each data file with the file-reading verbs that read it ({d} is the
+# directory of the mangled copies, {f} the mangled file); the extra
+# pushdown file is the kc-to-bpda machine of zero-star-one.expr
+KC_TO_BPDA = ["kc-to-bpda", "--expr", "{d}/zero-star-one.expr",
+              "--out", "{d}/out"]
+SUBSTITUTE = ["substitute", "--expr", "{d}/six-letters.expr",
+              "--subst", "{d}/block-encoding.subst", "--out", "{d}/out.expr"]
+FUZZ_VERBS = {
+    "ones-acceptor.automaton": [
+        ["check-lasso", "--machine", "{f}", "--word", "(01)^w"],
+        ["build-bar", "--machine", "{f}", "--out", "{d}/out"]],
+    "zero-star-one.pushdown": [
+        ["check-lasso", "--machine", "{f}", "--word", "0(01)^w"],
+        ["build-bar", "--machine", "{f}", "--out", "{d}/out"]],
+    "constant-a.tree": [["code-tree", "--tree", "{f}", "--levels", "3"]],
+    "matched-blocks.grammar": [
+        ["omega-power", "--grammar", "{f}", "--out", "{d}/out.expr"]],
+    "zero-star-one.expr": [KC_TO_BPDA],
+    "zero-star-one.grammar": [KC_TO_BPDA],
+    "lambda.grammar": [KC_TO_BPDA],
+    "six-letters.expr": [SUBSTITUTE],
+    "six-letters.grammar": [SUBSTITUTE],
+    "six-lambda.grammar": [SUBSTITUTE],
+    "block-encoding.subst": [SUBSTITUTE],
+}
+FUZZ_TOKENS = ["#", "->", "|", ":", "pair:", "U:", "V:", "final:", "trans:",
+               "node:", "word:", "label", "q0", "S", "Z0", "0", "1", "A",
+               "-1", "x", "."]
+fuzz_edits = st.lists(st.tuples(
+    st.sampled_from(["drop-token", "dup-token", "put-token", "drop-line",
+                     "dup-line", "swap-lines"]),
+    st.integers(0, 200), st.integers(0, 200),
+    st.sampled_from(FUZZ_TOKENS)), min_size=1, max_size=3)
+
+
+def _mutate(text, edits):
+    lines = [ln.split() for ln in text.splitlines()]
+    for op, i, j, token in edits:
+        if not lines:
+            break
+        i %= len(lines)
+        row = lines[i]
+        if op == "drop-line":
+            del lines[i]
+        elif op == "dup-line":
+            lines.insert(i, list(row))
+        elif op == "swap-lines":
+            k = j % len(lines)
+            lines[i], lines[k] = lines[k], row
+        elif op == "put-token":
+            row.insert(j % (len(row) + 1), token)
+        elif row:
+            k = j % len(row)
+            if op == "drop-token":
+                del row[k]
+            else:
+                row.insert(k, row[k])
+    return "\n".join(" ".join(row) for row in lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def fuzz_seed_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz-seed")
+    for name in os.listdir(DATA):
+        shutil.copy(data(name), d / name)
+    expr = read_expression(data("zero-star-one.expr"))
+    (d / "zero-star-one.pushdown").write_text(format_bpda(kc_to_bpda(expr)))
+    return d
+
+
+@settings(max_examples=120, deadline=None)
+@given(name=st.sampled_from(sorted(FUZZ_VERBS)), edits=fuzz_edits)
+@example(name="six-letters.expr", edits=[("drop-token", 1, 1, "#")])
+@example(name="six-letters.expr",
+         edits=[("drop-token", 1, 1, "#"), ("put-token", 1, 1, ".")])
+def test_malformed_files_exit_2_not_3(fuzz_seed_dir, name, edits):
+    # a mangled file is either still well formed (exit 0 or 1) or refused
+    # with exit 2; exit 3 would be an invariant violation
+    with tempfile.TemporaryDirectory() as d:
+        shutil.copytree(fuzz_seed_dir, d, dirs_exist_ok=True)
+        f = os.path.join(d, name)
+        with open(f) as fh:
+            text = _mutate(fh.read(), edits)
+        with open(f, "w") as fh:
+            fh.write(text)
+        for argv in FUZZ_VERBS[name]:
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                code = main([a.format(f=f, d=d) for a in argv])
+            assert code in (0, 1, 2), (argv[0], text, err.getvalue())

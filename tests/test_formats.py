@@ -132,6 +132,13 @@ def test_expression_parse_errors(tmp_path):
     p.write_text("pair:\nU: missing\n")
     with pytest.raises(ParseError):
         read_expression(str(p))
+    # a U: or V: line that names no file is refused before any file is read
+    (tmp_path / "g.grammar").write_text(
+        "terminals: 0\nnonterminals: S\nS -> 0\n")
+    for text in ("pair:\nU:\nV: g.grammar\n", "pair:\nU: g.grammar\nV:\n"):
+        p.write_text(text)
+        with pytest.raises(ParseError, match="names no grammar file"):
+            read_expression(str(p))
 
 
 def test_substitution_word_file(tmp_path):

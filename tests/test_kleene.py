@@ -8,13 +8,15 @@ import sys
 import pytest
 
 from omegacfl import (BuchiAutomaton, Fsm, alphabet, block_encoding_morphism,
-                      cfg, kc_substitute, kc_to_bpda, kc_union, lasso,
+                      cfg, coding_complement_expr, filler_image_expr,
+                      kc_substitute, kc_to_bpda, kc_union, lasso,
                       lasso_in_kc, omega_kleene, omega_power)
-from omegacfl.cfg import (apply_substitution, doubling_filler, empty_grammar,
-                          filler_insertion, gap_too_long, gap_too_short,
-                          lambda_grammar, letters_grammar,
+from omegacfl.cfg import (Cfg, apply_substitution, doubling_filler,
+                          empty_grammar, filler_insertion, gap_too_long,
+                          gap_too_short, lambda_grammar, letters_grammar,
                           single_word_grammar)
-from omegacfl.kleene import (_line_letter_mats, _reach_matrices,
+from omegacfl.kleene import (_binarized, _lasso_letter_mats,
+                             _line_letter_mats, _mat_mul, _reach_matrices,
                              _transitive_plus)
 from omegacfl.oracles import cnf_cyk_member, random_lasso
 
@@ -223,18 +225,21 @@ def test_empty_u_component_contributes_nothing():
     assert kc_to_bpda(combined).accepts_lasso(lasso(BITS, "", "01"))
 
 
-def test_line_reach_rows_match_cyk():
-    # bit j of row i of the start symbol's matrix over a word's position
-    # line says the factor x[i:j] is derivable; checked for every factor,
-    # the empty one included, against the CNF/CYK recognizer
-    grammars = [
+def cyk_grammars():
+    return [
         zero_star_one(),
         cfg(BITS, "S", [("S", ("0", "S", "1")), ("S", ("0", "1"))]),
         apply_substitution(filler_insertion(BITS, "A"), zero_star_one()),
         doubling_filler(BITS), gap_too_short(BITS), gap_too_long(BITS),
         lambda_grammar(BITS)]
+
+
+def test_line_reach_rows_match_cyk():
+    # bit j of row i of the start symbol's matrix over a word's position
+    # line says the factor x[i:j] is derivable; checked for every factor,
+    # the empty one included, against the CNF/CYK recognizer
     rng = random.Random(11)
-    for g in grammars:
+    for g in cyk_grammars():
         letters = g.terminals.letters
         members = 0
         for _ in range(12):
@@ -250,6 +255,65 @@ def test_line_reach_rows_match_cyk():
                     assert got == cnf_cyk_member(g, x[i:j]), (g.start, x, i, j)
                     members += got
         assert members > 0
+
+
+def round_robin_reach(g, letter_mats, size):
+    """The round-robin fixpoint the worklist replaced: sweep every body
+    until a whole sweep changes nothing."""
+    bodies = _binarized(g)
+    mats = {h: [0] * size for h, _ in bodies}
+    eye = [1 << i for i in range(size)]
+
+    def sym_mat(s):
+        return letter_mats[s] if s in g.terminals else mats.get(s)
+
+    changed = True
+    while changed:
+        changed = False
+        for h, b in bodies:
+            if not b:
+                new = eye
+            elif len(b) == 1:
+                new = sym_mat(b[0])
+                if new is None:
+                    continue
+            else:
+                m1, m2 = sym_mat(b[0]), sym_mat(b[1])
+                if m1 is None or m2 is None:
+                    continue
+                new = _mat_mul(m1, m2)
+            old = mats[h]
+            merged = [x | y for x, y in zip(old, new)]
+            if merged != old:
+                mats[h] = merged
+                changed = True
+    return mats
+
+
+def test_reach_matrices_match_round_robin():
+    # every nonterminal's matrix, on position lines and on lasso automata
+    # (whose cycle makes the order of the fixpoint matter)
+    e1 = omega_power(zero_star_one())
+    builders = [e1, omega_power(cfg(BITS, "S", [("S", ("0", "S", "1")),
+                                                 ("S", ("0", "1"))])),
+                omega_power(apply_substitution(filler_insertion(BITS, "A"),
+                                               zero_star_one())),
+                coding_complement_expr(BITS), filler_image_expr(e1, "A")]
+    # T has no production; S reads it, and reads itself twice
+    dangling = Cfg(BITS, frozenset({"S", "T"}), "S", frozenset({
+        ("S", ("0", "T")), ("S", ("S", "S")), ("S", ("1",)),
+        ("S", ("T", "1", "S"))}))
+    grammars = cyk_grammars() + [dangling] + [
+        g for e in builders for p in e.pairs for g in (p.u, p.v)]
+    assert max(len(_binarized(g)) for g in grammars) >= 85
+    rng = random.Random(13)
+    for g in grammars:
+        for _ in range(3):
+            w = random_lasso(rng, g.terminals, 6, 6).normalize()
+            n = len(w.spoke) + len(w.cycle)
+            for mats in (_line_letter_mats(w, 4 * n + 12),
+                         _lasso_letter_mats(w)):
+                assert _reach_matrices(g, *mats) == round_robin_reach(g, *mats)
 
 
 def test_transitive_plus_matches_bfs():

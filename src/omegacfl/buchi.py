@@ -5,6 +5,7 @@ on ultimately periodic words via the product with the lasso's position graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .words import Alphabet, Lasso
 
@@ -29,9 +30,16 @@ class Fsm:
             if a not in self.alphabet:
                 raise ValueError(f"transition letter {a!r} undeclared")
 
+    @cached_property
+    def transition_index(self) -> dict[tuple[str, str], frozenset[str]]:
+        """(state, letter) -> successor states, built on first use."""
+        index: dict[tuple[str, str], set[str]] = {}
+        for q, a, p in self.transitions:
+            index.setdefault((q, a), set()).add(p)
+        return {k: frozenset(v) for k, v in index.items()}
+
     def delta(self, q: str, a: str) -> frozenset[str]:
-        return frozenset(p for (s, b, p) in self.transitions
-                         if s == q and b == a)
+        return self.transition_index.get((q, a), frozenset())
 
     @property
     def deterministic(self) -> bool:

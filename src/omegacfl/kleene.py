@@ -10,7 +10,6 @@ from typing import Literal
 
 from .cfg import (Cfg, Substitution, apply_substitution, cfg_empty,
                   cfg_generates_lambda, lambda_grammar, strip_lambda, _fresh)
-from .gnf import to_gnf
 from .pushdown import PUSH_CAP, Bpda, Pdm
 from .words import Alphabet, Lasso
 
@@ -82,14 +81,38 @@ def omega_power(v: Cfg) -> OmegaKleeneExpr:
 
 # ------------------------------------------------------ machine conversion
 
+def _expansion(g: Cfg, t: str, body: tuple[str, ...]):
+    """(letter read or None, word pushed) for one production body: a leading
+    terminal is read and the rest pushed, otherwise the whole body is
+    pushed silently; pushed symbols carry the tag t."""
+    lead = body[0] in g.terminals
+    return (body[0] if lead else None,
+            tuple(t + s for s in (body[1:] if lead else body)))
+
+
+def _pushed_terminals(g: Cfg) -> list[str]:
+    """The terminals that can be on the stack: those after a body's head."""
+    return sorted({s for _, b in g.productions for s in b[1:]
+                   if s in g.terminals})
+
+
 def kc_to_bpda(e: OmegaKleeneExpr) -> Bpda:
     """A Buchi pushdown machine accepting the union of the U_i.V_i^omega.
 
-    The component grammars are run in Greibach normal form, so the machine
-    consumes one input letter per move: it has no silent moves at all and
-    its initial state is never re-entered.  Block starts pass through a
-    per-component final state, which therefore recurs exactly on words that
-    factor into U followed by infinitely many V blocks.
+    Each component is parsed top-down with the grammar symbols, tagged by
+    component and side, on the stack.  A production whose body starts with
+    a terminal is one input move that reads it and pushes the rest of the
+    body; any other production is a silent expansion that pushes the whole
+    body, and a terminal on top is popped by reading it.  So only
+    nonterminal-leading productions give silent moves, and grammars already
+    in Greibach normal form give a machine with none.  The machine has at
+    most a constant times the grammars' size in rules, and its initial state
+    is never re-entered.  U is run lambda-stripped, and when U derives the
+    empty word the first V block starts straight from the initial state.
+    Block starts (an exposed bottom symbol) pass through a per-component
+    final state, which therefore recurs exactly on words that factor into U
+    followed by infinitely many V blocks; silent cycles never pass through
+    it, because every V block reads at least one letter.
     """
     start_state = "q0"
     bottom = "Z0"
@@ -126,51 +149,50 @@ def kc_to_bpda(e: OmegaKleeneExpr) -> Bpda:
             cur_top = chunk[0]
             cur_state = nxt_state
 
+    def parse_moves(g, t, src, tgt):
+        # expand the nonterminal on top, or read the terminal on top
+        for h, b in sorted(g.productions):
+            a, push = _expansion(g, t, b)
+            add_move(src, a, t + h, tgt, push)
+        for a in _pushed_terminals(g):
+            add_move(src, a, t + a, tgt, ())
+
     for idx, pair in enumerate(e.pairs):
         if pair.v_was_lambda_only:
             raise ValueError(f"component {idx}: cycle language is {{lambda}}")
-        gu, u_has_lambda = to_gnf(pair.u)
-        gv, _ = to_gnf(pair.v)
+        gu, gv = strip_lambda(pair.u), pair.v
         if not gv.productions:
             continue  # V empty: the component denotes the empty set
         st_u, st_v, st_f = f"u{idx}", f"v{idx}", f"f{idx}"
         states.update({st_u, st_v, st_f})
         final.add(st_f)
 
-        def tag(which, name, idx=idx):
-            return f"{which}{idx}:{name}"
-
-        for n in sorted(gu.nonterminals):
-            stack_syms.append(tag("u", n))
-        for n in sorted(gv.nonterminals):
-            stack_syms.append(tag("v", n))
-
-        u_starts = [(b[0], tuple(tag("u", s) for s in b[1:]))
-                    for h, b in sorted(gu.productions) if h == gu.start]
-        v_starts = [(b[0], tuple(tag("v", s) for s in b[1:]))
-                    for h, b in sorted(gv.productions) if h == gv.start]
+        tu, tv = f"u{idx}:", f"v{idx}:"
+        for g, t in ((gu, tu), (gv, tv)):
+            stack_syms.extend(t + s for s in sorted(g.nonterminals))
+            stack_syms.extend(t + s for s in _pushed_terminals(g))
+        u_starts = [_expansion(gu, tu, b) for h, b in sorted(gu.productions)
+                    if h == gu.start]
+        v_starts = [_expansion(gv, tv, b) for h, b in sorted(gv.productions)
+                    if h == gv.start]
 
         # choose this component and start reading U (or, with lambda in U,
         # start the first V block straight away)
         for a, alpha_push in u_starts:
             add_move(start_state, a, bottom, st_u, alpha_push + (bottom,))
-        if u_has_lambda:
+        if cfg_generates_lambda(pair.u):
             for a, alpha_push in v_starts:
                 add_move(start_state, a, bottom, st_f, alpha_push + (bottom,))
 
         # parsing moves inside the U word
-        for h, b in sorted(gu.productions):
-            push = tuple(tag("u", s) for s in b[1:])
-            add_move(st_u, b[0], tag("u", h), st_u, push)
+        parse_moves(gu, tu, st_u, st_u)
         # U finished (bottom exposed): begin the first V block
         for a, alpha_push in v_starts:
             add_move(st_u, a, bottom, st_f, alpha_push + (bottom,))
 
         # parsing moves inside a V block, from the block-start state too
-        for h, b in sorted(gv.productions):
-            push = tuple(tag("v", s) for s in b[1:])
-            add_move(st_v, b[0], tag("v", h), st_v, push)
-            add_move(st_f, b[0], tag("v", h), st_v, push)
+        parse_moves(gv, tv, st_v, st_v)
+        parse_moves(gv, tv, st_f, st_v)
         # block finished: start the next one through the final state
         for a, alpha_push in v_starts:
             add_move(st_v, a, bottom, st_f, alpha_push + (bottom,))

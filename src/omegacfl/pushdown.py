@@ -55,9 +55,14 @@ class Pdm:
 
     @cached_property
     def rule_index(self) -> dict[tuple[str, str], list[tuple]]:
-        """(state, top) -> [(letter, successor, push)], built on first use."""
+        """(state, top) -> [(letter, successor, push)], built on first use.
+
+        Built from the rules in sorted order, so the order in which moves
+        are tried, and with it the saturation's work, does not depend on
+        the process's string-hash seed."""
         index: dict[tuple[str, str], list[tuple]] = {}
-        for q, a, z, p, push in self.rules:
+        for q, a, z, p, push in sorted(
+                self.rules, key=lambda r: (r[0], r[1] or "", *r[2:])):
             index.setdefault((q, z), []).append((a, p, push))
         return index
 

@@ -98,6 +98,24 @@ def test_kc_to_bpda_artifact_reparses(tmp_path, capsys):
     assert machine == kc_to_bpda(expr)
 
 
+def test_kc_to_bpda_runaway_family(tmp_path, capsys):
+    # N_i -> N_{i+1} 0 | N_{i+1} 1 | 1 over indices mod 8, whose Greibach
+    # normal form has over a million rules
+    n = 8
+    lines = ["terminals: 0 1",
+             "nonterminals: " + " ".join(f"N{i}" for i in range(n))]
+    lines += [f"N{i} -> N{(i + 1) % n} 0 | N{(i + 1) % n} 1 | 1"
+              for i in range(n)]
+    (tmp_path / "family.grammar").write_text("\n".join(lines) + "\n")
+    (tmp_path / "lambda.grammar").write_text(
+        "terminals: 0 1\nnonterminals: S\nS -> #\n")
+    (tmp_path / "family.expr").write_text(
+        "pair:\nU: lambda.grammar\nV: family.grammar\n")
+    assert main(["kc-to-bpda", "--expr", str(tmp_path / "family.expr"),
+                 "--out", str(tmp_path / "family.pushdown")]) == 0
+    assert "rules: 64" in capsys.readouterr().out
+
+
 def test_omega_power_and_substitute(tmp_path, capsys):
     pow_file = str(tmp_path / "pow.expr")
     assert main(["omega-power", "--grammar", data("matched-blocks.grammar"),

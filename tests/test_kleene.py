@@ -11,20 +11,22 @@ from omegacfl import (BuchiAutomaton, Fsm, alphabet, block_encoding_morphism,
                       cfg, coding_complement_expr, filler_image_expr,
                       kc_substitute, kc_to_bpda, kc_union, lasso,
                       lasso_in_kc, omega_kleene, omega_power)
-from omegacfl.cfg import (Cfg, apply_substitution, doubling_filler,
+from omegacfl.cfg import (Cfg, alphabet_star_grammar, apply_substitution,
+                          cfg_empty, concat_grammars, doubling_filler,
                           empty_grammar, filler_insertion, gap_too_long,
                           gap_too_short, lambda_grammar, letters_grammar,
-                          single_word_grammar)
+                          single_word_grammar, strip_lambda)
 from omegacfl.kleene import (_binarized, _lasso_letter_mats,
                              _line_letter_mats, _mat_mul, _reach_matrices,
                              _transitive_plus)
 from omegacfl.oracles import cnf_cyk_member, random_lasso
+from omegacfl.pushdown import PUSH_CAP
 
 BITS = alphabet("0", "1")
 
 
-def zero_star_one():
-    return cfg(BITS, "S", [("S", ("0", "S")), ("S", ("1",))])
+def zero_star_one(terminals=BITS):
+    return cfg(terminals, "S", [("S", ("0", "S")), ("S", ("1",))])
 
 
 def ones_acceptor():
@@ -204,17 +206,68 @@ def test_oracle_bound_precondition():
         lasso_in_kc(e, lasso(BITS, "0011", "01"), 3)
 
 
+def grammar_zoo():
+    """Grammar shapes the top-down conversion has to parse: left and mutual
+    recursion, unit chains, nullable bodies, and a nonterminal-leading body
+    longer than PUSH_CAP."""
+    yield doubling_filler(BITS)
+    yield gap_too_short(BITS)
+    yield gap_too_long(BITS)
+    yield alphabet_star_grammar(BITS)
+    yield concat_grammars(alphabet_star_grammar(gap_too_short(BITS).terminals),
+                          gap_too_short(BITS))
+    yield lambda_grammar(BITS)
+    yield cfg(BITS, "E", [("E", ("E", "0")), ("E", ("1",))])
+    yield cfg(BITS, "S", [("S", ("T", "0")), ("T", ("S", "1")),
+                          ("T", ("0",))])
+    yield cfg(BITS, "S", [("S", ("T", "T", "1")), ("T", ()), ("T", ("0",))])
+    yield cfg(BITS, "S", [("S", ("T",)), ("T", ("U",)), ("U", ("0", "S")),
+                          ("U", ("1",))])
+    yield cfg(BITS, "A", [("A", ("B", "1")), ("B", ("A", "0")),
+                          ("A", ("0",)), ("B", ("1",))])
+    long_body = ("T", "0", "1", "T", "1", "0")
+    assert len(long_body) > PUSH_CAP
+    yield cfg(BITS, "S", [("S", long_body), ("S", ("1",)), ("T", ("S",)),
+                          ("T", ("0",))])
+
+
 def test_oracle_soundness_sample():
-    e1 = omega_power(zero_star_one())
-    e2 = omega_power(cfg(BITS, "S", [("S", ("0", "S", "1")), ("S", ("0", "1"))]))
-    machines = {id(e1): kc_to_bpda(e1), id(e2): kc_to_bpda(e2)}
+    exprs = [omega_power(zero_star_one()),
+             omega_power(cfg(BITS, "S", [("S", ("0", "S", "1")),
+                                         ("S", ("0", "1"))]))]
+    # each zoo grammar as the cycle language, and as U before (0*1)^w
+    for g in grammar_zoo():
+        if not cfg_empty(strip_lambda(g)):
+            exprs.append(omega_power(g))
+        exprs.append(omega_kleene([(g, zero_star_one(g.terminals))]))
     rng = random.Random(10)
-    for e in (e1, e2):
+    verdicts = set()
+    for e in exprs:
+        m = kc_to_bpda(e)
+        conclusive = 0
         for _ in range(40):
-            w = random_lasso(rng, BITS, 5, 5).normalize()
+            w = random_lasso(rng, e.alphabet, 5, 5).normalize()
             verdict = lasso_in_kc(e, w, 4 * (len(w.spoke) + len(w.cycle)) + 8)
             if verdict != "unknown":
-                assert (verdict == "yes") == machines[id(e)].accepts_lasso(w)
+                assert (verdict == "yes") == m.accepts_lasso(w), (e, w)
+                conclusive += 1
+                verdicts.add(verdict)
+        assert conclusive >= 20
+    assert verdicts == {"yes", "no"}
+
+
+def test_conversion_size_is_linear():
+    # N_i -> N_{i+1} 0 | N_{i+1} 1 | 1 over indices mod n: in Greibach
+    # normal form this family grows exponentially with n
+    n = 30
+    prods = [(f"N{i}", body) for i in range(n) for body in (
+        (f"N{(i + 1) % n}", "0"), (f"N{(i + 1) % n}", "1"), ("1",))]
+    g = cfg(BITS, "N0", prods)
+    size = sum(1 + len(b) for _, b in g.productions)
+    m = kc_to_bpda(omega_power(g))
+    assert len(m.machine.rules) <= 2 * size
+    assert m.accepts_lasso(lasso(BITS, "", "1"))
+    assert not m.accepts_lasso(lasso(BITS, "", "0"))
 
 
 def test_empty_u_component_contributes_nothing():

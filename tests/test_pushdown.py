@@ -1,6 +1,9 @@
 """Pushdown machines: step semantics, bounded runs, products, emptiness."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -130,6 +133,24 @@ def test_product_shape():
                 wraps += i == length - 1
         assert wraps > 0
         assert (silent > 0) == (m is looped)
+
+
+def test_rule_index_ignores_hash_seed():
+    # the order in which the saturation tries moves follows the index, so
+    # it must not follow the string-hash order of the rule set
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    code = ("from omegacfl import alphabet, coding_complement_expr, "
+            "kc_to_bpda; print(kc_to_bpda(coding_complement_expr("
+            "alphabet('0', '1'))).machine.rule_index)")
+    outs = []
+    for seed in ("0", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        outs.append(subprocess.run([sys.executable, "-c", code], env=env,
+                                   check=True, capture_output=True,
+                                   text=True).stdout)
+    assert outs[0] == outs[1]
+    assert "u0:" in outs[0]
 
 
 def test_empty_repeating_set_is_empty():

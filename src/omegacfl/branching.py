@@ -186,6 +186,8 @@ def branch_evidence(bm: BranchGuessMachine, t: RegularTree, levels: int,
     configuration enumeration, which keeps deep prefixes tractable."""
     if levels < 0:
         raise ValueError("levels must be >= 0")
+    if lambda_budget < 0:
+        raise ValueError("lambda budget must be >= 0")
     if bm.separator in t.labels:
         raise ValueError(f"separator {bm.separator!r} occurs in the tree alphabet")
     depth_labels = _depth_labels(t, levels)

@@ -104,38 +104,88 @@ def bounded_runs(m: Pdm, x: Word, lambda_budget: int,
 
     At most `lambda_budget` consecutive silent moves are explored between
     input letters, so the result under-approximates machines whose runs need
-    longer silent stretches.
+    longer silent stretches.  Within a silent stretch a configuration is
+    expanded again only when its count grew.
+
+    Stacks are shared in a trie that lives for one call (node id -> (top,
+    id of the rest), id 0 the empty stack), so a configuration is a (state,
+    node id) pair, and the successors of each pair under each letter are
+    computed once per call.  `Configuration`s are built only for the result.
     """
     if lambda_budget < 0:
         raise ValueError("lambda budget must be >= 0")
-    init = initial_configuration(m)
-    arrived: dict[Configuration, int] = {init: 1 if m.initial in marked else 0}
-    pos = 0
-    while True:
+    # (state, top, letter) -> [(successor, pushed word, marked increment)]
+    index: dict[tuple, list[tuple[str, tuple[str, ...], int]]] = {}
+    for (q, z), entries in m.rule_index.items():
+        for a, p, push in entries:
+            index.setdefault((q, z, a), []).append(
+                (p, push, 1 if p in marked else 0))
+    silent_steps = (lambda_budget if any(a is None for _, _, a in index)
+                    else 0)
+    nodes: list[tuple[str, int]] = [("", 0)]  # entry 0 stands for no stack
+    node_ids: dict[tuple[str, int], int] = {}
+    succ: dict[tuple, list] = {}
+
+    def push_onto(push: tuple[str, ...], sid: int) -> int:
+        for z in reversed(push):
+            node = (z, sid)
+            sid = node_ids.get(node)
+            if sid is None:
+                sid = node_ids[node] = len(nodes)
+                nodes.append(node)
+        return sid
+
+    def successors(c: tuple[str, int], a: "str | None") -> list:
+        q, sid = c
+        out = []
+        if sid:
+            top, rest = nodes[sid]
+            for p, push, inc in index.get((q, top, a), ()):
+                out.append(((p, push_onto(push, rest)), inc))
+        succ[c, a] = out
+        return out
+
+    def close(arrived: dict) -> dict:
         merged = dict(arrived)
         level = arrived
-        for _ in range(lambda_budget):
-            nxt: dict[Configuration, int] = {}
+        for _ in range(silent_steps):
+            nxt: dict = {}
             for c, cnt in level.items():
-                for c2 in step(m, c, None):
-                    val = cnt + (1 if c2.state in marked else 0)
+                out = succ.get((c, None))
+                if out is None:
+                    out = successors(c, None)
+                for c2, inc in out:
+                    val = cnt + inc
                     if nxt.get(c2, -1) < val:
                         nxt[c2] = val
             level = {c: v for c, v in nxt.items() if merged.get(c, -1) < v}
-            for c, v in level.items():
-                merged[c] = v
             if not level:
                 break
-        if pos == len(x):
-            return merged
-        a = x.symbols[pos]
-        arrived = {}
+            merged.update(level)
+        return merged
+
+    init = (m.initial, push_onto((m.start_stack,), 0))
+    merged = close({init: 1 if m.initial in marked else 0})
+    for a in x.symbols:
+        arrived: dict = {}
         for c, cnt in merged.items():
-            for c2 in step(m, c, a):
-                val = cnt + (1 if c2.state in marked else 0)
+            out = succ.get((c, a))
+            if out is None:
+                out = successors(c, a)
+            for c2, inc in out:
+                val = cnt + inc
                 if arrived.get(c2, -1) < val:
                     arrived[c2] = val
-        pos += 1
+        merged = close(arrived)
+
+    def stack(sid: int) -> tuple[str, ...]:
+        out = []
+        while sid:
+            top, sid = nodes[sid]
+            out.append(top)
+        return tuple(out)
+
+    return {Configuration(q, stack(sid)): v for (q, sid), v in merged.items()}
 
 
 @dataclass(frozen=True)

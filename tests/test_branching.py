@@ -1,5 +1,6 @@
 """The branch-guessing transform: structure, provenance, evidence runs."""
 
+import itertools
 import random
 
 import pytest
@@ -234,15 +235,52 @@ def test_fast_engine_matches_generic_runs():
                 assert fast == max(generic.values())
 
 
+def dfa_bpda(initial, final, delta):
+    """A complete deterministic automaton over bits, (state, letter) ->
+    successor, as an inert-stack pushdown machine."""
+    rules = frozenset((q, a, "Z0", p, ("Z0",)) for (q, a), p in delta.items())
+    m = Pdm(frozenset(q for q, _ in delta), BITS, ("Z0",), initial, "Z0",
+            rules)
+    return Bpda(m, frozenset(final))
+
+
+def best_branch_visits(base, t, levels):
+    """Most final-state visits, the initial state not counted, of the
+    base's runs on the labels of any branch of t through `levels`."""
+    m = base.machine
+    best = -1
+    for turns in itertools.product((t.left, t.right), repeat=levels):
+        node = t.initial
+        runs = {m.initial: 0}
+        for i in range(levels + 1):
+            if i:
+                node = turns[i - 1][node]
+            nxt = {}
+            for q, c in runs.items():
+                for p, _ in m.moves(q, t.output[node], m.start_stack):
+                    nxt[p] = max(nxt.get(p, -1), c + (p in base.final))
+            runs = nxt
+        best = max(best, *runs.values())
+    return best
+
+
 def test_generic_path_on_inhomogeneous_tree():
-    base, _ = ones_bpda()
-    bm = branch_guess_machine(base, "A")
+    # for complete finite-automaton bases the score is the best branch's
+    bases = [ones_bpda()[0],
+             dfa_bpda("m0", {"m0"}, {(f"m{i}", a): f"m{(i + int(a)) % 3}"
+                                     for i in range(3) for a in "01"}),
+             dfa_bpda("e0", {"e2"}, {("e0", "0"): "e1", ("e0", "1"): "e0",
+                                     ("e1", "0"): "e1", ("e1", "1"): "e2",
+                                     ("e2", "0"): "e1", ("e2", "1"): "e0"})]
     rng = random.Random(43)
-    t = random_tree(rng, BITS, 3)
-    while _depth_labels(t, 3) is not None:
-        t = random_tree(rng, BITS, 3)
-    score = branch_evidence(bm, t, 3, 2)
-    assert score >= 0
+    for base in bases:
+        bm = branch_guess_machine(base, "A")
+        for levels in [1, 2, 3, 4, 5] * 3:
+            t = random_tree(rng, BITS, 3)
+            while _depth_labels(t, levels) is not None:
+                t = random_tree(rng, BITS, 3)
+            assert branch_evidence(bm, t, levels, 2) == \
+                best_branch_visits(base, t, levels)
 
 
 def test_evidence_rejects_foreign_labels():
@@ -251,6 +289,12 @@ def test_evidence_rejects_foreign_labels():
     foreign = level_homogeneous_tree(lasso(alphabet("x"), "", "x"))
     separator = level_homogeneous_tree(lasso(BITS_SEP, "", "1A"))
     plain = level_homogeneous_tree(lasso(BITS, "", "1"))
-    for t, levels in ((foreign, 2), (separator, 2), (plain, -1)):
+    rng = random.Random(5)
+    mixed = random_tree(rng, BITS, 3)
+    while _depth_labels(mixed, 3) is not None:
+        mixed = random_tree(rng, BITS, 3)
+    # a negative budget is refused on the recurrence and the generic path
+    for t, levels, budget in ((foreign, 2, 2), (separator, 2, 2),
+                              (plain, -1, 2), (plain, 3, -1), (mixed, 3, -1)):
         with pytest.raises(ValueError):
-            branch_evidence(bm, t, levels, 2)
+            branch_evidence(bm, t, levels, budget)

@@ -8,11 +8,15 @@ import sys
 import pytest
 
 from omegacfl import (Bpda, BuchiPds, Configuration, Mpda, Pdm, alphabet,
-                      buchi_pds_empty, cfg, initial_configuration, lasso,
-                      product_with_lasso, step, word)
+                      branch_guess_machine, buchi_pds_empty, cfg, h_prefix,
+                      initial_configuration, lasso, product_with_lasso, step,
+                      word)
+from omegacfl.branching import _depth_labels
 from omegacfl.kleene import kc_to_bpda, omega_power
 from omegacfl.oracles import (pds_explicit_empty, random_bpda, random_lasso,
-                              random_one_counter_pds)
+                              random_one_counter_pds, random_tree)
+from omegacfl.pushdown import bounded_runs
+from omegacfl.words import Word
 
 BITS = alphabet("0", "1")
 
@@ -90,6 +94,92 @@ def test_bounded_runs_replayable():
             frontier = {c2 for c in closed
                         for c2 in step(b.machine, c, x.symbols[pos])}
         assert set(reached) == frontier
+
+
+def tuple_stack_bounded_runs(m, x, lambda_budget, marked):
+    """The enumeration the interned-stack loop replaced: configurations with
+    tuple stacks, every move through `step`."""
+    if lambda_budget < 0:
+        raise ValueError("lambda budget must be >= 0")
+    init = initial_configuration(m)
+    arrived = {init: 1 if m.initial in marked else 0}
+    pos = 0
+    while True:
+        merged = dict(arrived)
+        level = arrived
+        for _ in range(lambda_budget):
+            nxt = {}
+            for c, cnt in level.items():
+                for c2 in step(m, c, None):
+                    val = cnt + (1 if c2.state in marked else 0)
+                    if nxt.get(c2, -1) < val:
+                        nxt[c2] = val
+            level = {c: v for c, v in nxt.items() if merged.get(c, -1) < v}
+            for c, v in level.items():
+                merged[c] = v
+            if not level:
+                break
+        if pos == len(x):
+            return merged
+        a = x.symbols[pos]
+        arrived = {}
+        for c, cnt in merged.items():
+            for c2 in step(m, c, a):
+                val = cnt + (1 if c2.state in marked else 0)
+                if arrived.get(c2, -1) < val:
+                    arrived[c2] = val
+        pos += 1
+
+
+def test_bounded_runs_match_tuple_stack_loop():
+    cases = []
+    # a silent push cycle through a marked state, which every budget cuts
+    # short, and a silent pop back to the reading state
+    cycle = Bpda(Pdm(frozenset({"q", "p"}), BITS, ("Z", "Y"), "q", "Z",
+                     frozenset({("q", None, "Z", "p", ("Y", "Z")),
+                                ("p", None, "Y", "q", ("Y", "Y")),
+                                ("q", None, "Y", "q", ()),
+                                ("q", "1", "Y", "p", ("Y",)),
+                                ("p", "0", "Z", "q", ("Z",))})),
+                 frozenset({"p"}))
+    for text in ("", "1", "10", "110", "1010"):
+        cases.append((cycle, word(BITS, text)))
+    rng = random.Random(23)
+    for _ in range(250):
+        b = random_bpda(rng, BITS, 4, rng.randint(1, 8))
+        cases.append((b, word(BITS, [rng.choice(BITS.letters)
+                                     for _ in range(rng.randint(0, 4))])))
+    # transform prefixes of trees on the generic evidence path
+    ones = Bpda(Pdm(frozenset({"q0", "qf"}), BITS, ("Z0",), "q0", "Z0",
+                    frozenset((q, a, "Z0", "qf" if a == "1" else "q0",
+                               ("Z0",)) for q in ("q0", "qf") for a in "01")),
+                frozenset({"qf"}))
+    silent_start = Bpda(Pdm(frozenset({"q0", "q1"}), BITS, ("Z0",), "q0",
+                            "Z0", frozenset({("q0", None, "Z0", "q1", ("Z0",)),
+                                             ("q1", "1", "Z0", "q1",
+                                              ("Z0",))})),
+                        frozenset({"q1"}))
+    for base in (ones, silent_start):
+        bm = branch_guess_machine(base, "A")
+        trees = 0
+        while trees < 8:
+            t = random_tree(rng, BITS, 4)
+            if _depth_labels(t, 4) is not None:
+                continue
+            trees += 1
+            for lv in range(5):
+                cases.append((bm.bpda, Word(bm.bpda.machine.input_alphabet,
+                                            h_prefix(t, lv, "A").symbols)))
+    budget_bound = 0
+    for b, x in cases:
+        runs = [bounded_runs(b.machine, x, budget, b.final)
+                for budget in range(4)]
+        for budget, got in enumerate(runs):
+            assert got == tuple_stack_bounded_runs(b.machine, x, budget,
+                                                   b.final)
+        budget_bound += runs[0] != runs[3]
+    # enough cases run silent stretches that the budget cuts
+    assert budget_bound >= 40
 
 
 def test_muller_pushdown_bounded_runs_only():

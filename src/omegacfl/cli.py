@@ -9,14 +9,10 @@ from __future__ import annotations
 import argparse
 import sys
 
+# each verb imports the modules it uses when it runs, so that one call
+# loads only those
 from . import formats
-from .buchi import BuchiAutomaton, MullerAutomaton
-from .branching import branch_guess_machine
 from .formats import ParseError
-from .kleene import kc_to_bpda, omega_power, kc_substitute
-from .pushdown import Bpda, Mpda, inert_stack_bpda
-from .trees import h_prefix
-from .verify import SUITES, run_suite
 from .words import parse_lasso
 
 
@@ -26,10 +22,8 @@ def _read(path: str) -> str:
 
 
 def _cmd_check_lasso(args) -> int:
+    from .buchi import BuchiAutomaton, MullerAutomaton
     machine = formats.parse_machine(_read(args.machine))
-    if isinstance(machine, Mpda):
-        raise ParseError("exact lasso acceptance is not offered for "
-                         "Muller pushdown machines")
     if isinstance(machine, (BuchiAutomaton, MullerAutomaton)):
         alpha = machine.machine.alphabet
         w = parse_lasso(args.word, alpha)
@@ -40,6 +34,10 @@ def _cmd_check_lasso(args) -> int:
             print("witness cycle: " + " ".join(witness.cycle_states))
             print("witness inf: " + " ".join(sorted(witness.inf_set)))
         return 0 if accepted else 1
+    from .pushdown import Mpda
+    if isinstance(machine, Mpda):
+        raise ParseError("exact lasso acceptance is not offered for "
+                         "Muller pushdown machines")
     alpha = machine.machine.input_alphabet
     w = parse_lasso(args.word, alpha)
     accepted = machine.accepts_lasso(w)
@@ -48,6 +46,9 @@ def _cmd_check_lasso(args) -> int:
 
 
 def _cmd_build_bar(args) -> int:
+    from .branching import branch_guess_machine
+    from .buchi import BuchiAutomaton
+    from .pushdown import Bpda, inert_stack_bpda
     machine = formats.parse_machine(_read(args.machine))
     if isinstance(machine, BuchiAutomaton):
         # the result is a one-counter machine
@@ -67,6 +68,7 @@ def _cmd_build_bar(args) -> int:
 
 
 def _cmd_code_tree(args) -> int:
+    from .trees import h_prefix
     tree = formats.parse_tree(_read(args.tree))
     prefix = h_prefix(tree, args.levels, args.separator)
     print(".".join(prefix.symbols))
@@ -74,6 +76,7 @@ def _cmd_code_tree(args) -> int:
 
 
 def _cmd_kc_to_bpda(args) -> int:
+    from .kleene import kc_to_bpda
     expr = formats.read_expression(args.expr)
     machine = kc_to_bpda(expr)
     with open(args.out, "w") as fh:
@@ -85,6 +88,7 @@ def _cmd_kc_to_bpda(args) -> int:
 
 
 def _cmd_omega_power(args) -> int:
+    from .kleene import omega_power
     grammar = formats.parse_grammar(_read(args.grammar))
     expr = omega_power(grammar)
     written = formats.write_expression(expr, args.out)
@@ -93,6 +97,7 @@ def _cmd_omega_power(args) -> int:
 
 
 def _cmd_substitute(args) -> int:
+    from .kleene import kc_substitute
     expr = formats.read_expression(args.expr)
     subst = formats.read_substitution(args.subst)
     image = kc_substitute(expr, subst)
@@ -101,7 +106,19 @@ def _cmd_substitute(args) -> int:
     return 0
 
 
+def _suite(name: str) -> str:
+    """Check a --suite value against the live suite table while the
+    arguments are parsed, so that only the verify verb imports it."""
+    from .verify import SUITES
+    if name not in SUITES:
+        raise argparse.ArgumentTypeError(
+            f"unknown suite {name!r} (choose from "
+            + ", ".join(sorted(SUITES)) + ")")
+    return name
+
+
 def _cmd_verify(args) -> int:
+    from .verify import run_suite
     print(f"suite: {args.suite}")
     print(f"seed: {args.seed}")
     results = run_suite(args.suite, args.seed)
@@ -162,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(fn=_cmd_substitute)
 
     c = sub.add_parser("verify", help="run a verification suite")
-    c.add_argument("--suite", required=True, choices=sorted(SUITES))
+    c.add_argument("--suite", required=True, type=_suite)
     c.add_argument("--seed", type=int, default=0)
     c.set_defaults(fn=_cmd_verify)
     return p

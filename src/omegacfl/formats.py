@@ -11,14 +11,19 @@ start symbol has no productions.
 from __future__ import annotations
 
 import os
+from typing import TYPE_CHECKING
 
-from .branching import BranchGuessMachine
-from .buchi import BuchiAutomaton, Fsm, MullerAutomaton
 from .cfg import Cfg, Substitution, single_word_grammar, substitution
-from .kleene import OmegaKleeneExpr, omega_kleene
-from .pushdown import Bpda, Mpda, Pdm
-from .trees import RegularTree
 from .words import Alphabet
+
+# the parsers import the machine, tree and expression modules when called,
+# so that reading one kind of file loads only the modules that kind needs
+if TYPE_CHECKING:
+    from .branching import BranchGuessMachine
+    from .buchi import BuchiAutomaton, Fsm, MullerAutomaton
+    from .kleene import OmegaKleeneExpr
+    from .pushdown import Bpda, Mpda, Pdm
+    from .trees import RegularTree
 
 
 class ParseError(ValueError):
@@ -123,7 +128,8 @@ def format_muller_automaton(aut: MullerAutomaton) -> str:
     return "\n".join(out[:3] + tables + out[3:]) + "\n"
 
 
-def parse_automaton(text: str) -> "BuchiAutomaton | MullerAutomaton":
+def parse_automaton(text: str) -> BuchiAutomaton | MullerAutomaton:
+    from .buchi import BuchiAutomaton, Fsm, MullerAutomaton
     states = alphabet = initial = final = None
     tables: list[frozenset[str]] = []
     trans: set = set()
@@ -193,7 +199,8 @@ def format_mpda(m: Mpda) -> str:
     return "\n".join(out[:5] + tables + out[5:]) + "\n"
 
 
-def parse_pushdown(text: str) -> "Bpda | Mpda":
+def parse_pushdown(text: str) -> Bpda | Mpda:
+    from .pushdown import Bpda, Mpda, Pdm
     states = alphabet = stack = initial = startstack = final = None
     tables: list[frozenset[str]] = []
     rules: set = set()
@@ -270,6 +277,7 @@ def format_tree(t: RegularTree) -> str:
 
 
 def parse_tree(text: str) -> RegularTree:
+    from .trees import RegularTree
     labels = nodes = initial = None
     left: dict = {}
     right: dict = {}
@@ -326,6 +334,7 @@ def write_expression(e: OmegaKleeneExpr, path: str) -> list[str]:
 
 
 def read_expression(path: str) -> OmegaKleeneExpr:
+    from .kleene import omega_kleene
     with open(path) as fh:
         text = fh.read()
     base_dir = os.path.dirname(path) or "."

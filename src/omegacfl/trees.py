@@ -9,11 +9,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .cfg import (alphabet_star_grammar, concat_grammars, finite_words_grammar,
                   gap_too_long, gap_too_short, letters_grammar)
-from .kleene import OmegaKleeneExpr, omega_kleene
 from .words import Alphabet, Lasso, Word, word
+
+# coding_complement_expr imports kleene when called, so that coding a tree
+# does not load the expression and pushdown modules
+if TYPE_CHECKING:
+    from .kleene import OmegaKleeneExpr
 
 
 # Level n has 2^n nodes, so enumerations and coded prefixes deeper than this
@@ -140,6 +145,7 @@ def coding_complement_expr(sigma: Alphabet, separator: str = "A") -> OmegaKleene
     (wrong shape before the second separator) or contains a factor whose
     separator gaps break the doubling law in either direction.
     """
+    from .kleene import omega_kleene
     if separator in sigma:
         raise ValueError(f"separator {separator!r} must not be in the alphabet")
     alpha = sigma.with_letter(separator)

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import json
 import os
 import shutil
 import tempfile
@@ -192,9 +193,45 @@ def test_verify_reports_are_reproducible(capsys):
     assert "PASS" in first
 
 
-def test_verify_unknown_suite():
+def test_verify_unknown_suite(capsys):
     with pytest.raises(SystemExit):
         main(["verify", "--suite", "nope"])
+    err = capsys.readouterr().err
+    assert "'nope'" in err
+    assert all(name in err for name in verify.SUITES)
+
+
+# what one call loads: each verb imports only the modules it uses
+LOADED = """
+import json, sys
+from omegacfl.cli import main
+code = main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules
+                               if m.startswith("omegacfl"))]))
+"""
+BASE = {"omegacfl", "omegacfl.cli", "omegacfl.formats", "omegacfl.words",
+        "omegacfl.cfg"}
+
+
+def test_each_verb_loads_only_its_modules(tmp_path, fresh_python):
+    pushdown = str(tmp_path / "m.pushdown")
+    calls = [
+        (["check-lasso", "--machine", data("ones-acceptor.automaton"),
+          "--word", "(01)^w"], {"omegacfl.buchi"}),
+        (["kc-to-bpda", "--expr", data("zero-star-one.expr"),
+          "--out", pushdown],
+         {"omegacfl.kleene", "omegacfl.pushdown", "omegacfl.buchi"}),
+        (["check-lasso", "--machine", pushdown, "--word", "0(01)^w"],
+         {"omegacfl.pushdown", "omegacfl.buchi"}),
+        (["code-tree", "--tree", data("constant-a.tree"), "--levels", "3"],
+         {"omegacfl.trees"}),
+    ]
+    for argv, extra in calls:
+        proc = fresh_python(LOADED, *argv)
+        assert proc.returncode == 0, proc.stderr
+        code, loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert code == 0, (argv[0], proc.stdout)
+        assert set(loaded) == BASE | extra, argv[0]
 
 
 # each data file with the file-reading verbs that read it ({d} is the

@@ -182,8 +182,11 @@ def branch_evidence(bm: BranchGuessMachine, t: RegularTree, levels: int,
     machine consuming the coded tree through `levels`.
 
     For silent-move-free finite-state bases on depth-homogeneous trees the
-    score is computed by an exact per-level recurrence instead of the
-    configuration enumeration, which keeps deep prefixes tractable."""
+    score is computed by an exact per-level recurrence over base states
+    instead of the configuration enumeration: the counter height the
+    transform tracks never changes a score there (see `_fa_evidence`), so
+    the cost is O(levels x base transitions) rather than exponential in
+    `levels`."""
     if levels < 0:
         raise ValueError("levels must be >= 0")
     if lambda_budget < 0:
@@ -232,53 +235,34 @@ def _fa_encoded(base: Bpda) -> bool:
 
 def _fa_evidence(bm: BranchGuessMachine, depth_labels: list[str]) -> int:
     """Exact evidence score for finite-automaton bases on depth-homogeneous
-    trees, by transforming (state, counter height, score) sets level by
-    level.  Mirrors the rule groups exactly; cross-checked against the
-    configuration enumeration in the test suite."""
-    base = bm.base
-    q0, z0 = base.machine.initial, base.machine.start_stack
-    final = base.final
+    trees, by one best score per base state, level by level, in
+    O(levels x base transitions).
 
-    best_reject = None  # runs absorbed by the reject sink keep their score
-
-    def note_reject(c: int):
-        nonlocal best_reject
-        if best_reject is None or best_reject < c:
-            best_reject = c
-
+    The rule groups track a counter height h beside each base state, and
+    level n has m = 2^n letters.  The height drops out: by induction on n
+    the runs alive after level n - 1 hold exactly the heights
+    0 .. 2^(n-1) - 1 for every live state, so every such h has
+    2h <= m - 2.  Hence a separator mid-pop (groups (i)/(j), 2h > m) never
+    happens, popping never eats the whole level (2h == m), and waiting
+    never runs past the level end (group (q) then (s)); both the immediate
+    simulation (group (l)) and the one-letter wait (groups (q)+(r)) always
+    apply, landing at heights 2k+1 and 2k for k = 2^(n-1) - 1 - h.  Each
+    new height thus reads exactly one old height through the same base
+    moves, the score does not depend on the height, and no run reaches
+    the reject sink.  Cross-checked against the configuration enumeration
+    and the height recurrence in the test suite."""
+    base = bm.base.machine
+    z0, final = base.start_stack, bm.base.final
     # level 0: the boot state simulates the root label (group a); the boot
     # state itself is not final, so only the target's finality counts
-    entries = {(p, 0): 1 if p in final else 0
-               for p, _ in base.machine.moves(q0, depth_labels[0], z0)}
-
-    for n in range(1, len(depth_labels)):
-        # every base state reads the level's label x; look its moves up once
-        x = depth_labels[n]
-        succ = {q: base.machine.moves(q, x, z0) for q in base.machine.states}
-        m = 2 ** n
-        reached: dict[tuple[str, int], int] = {}
-
-        def plant(p, r, c):
-            if reached.get((p, r), -1) < c:
-                reached[(p, r)] = c
-
-        for (q, h), c in entries.items():
-            if 2 * h > m:
-                note_reject(c)  # groups (i)/(j): separator hits mid-pop
-                continue
-            if 2 * h == m:
-                continue  # popping eats the level; no move on the separator
-            rem = m - 2 * h
-            for p, _ in succ[q]:
-                c2 = c + (1 if p in final else 0)
-                plant(p, rem - 1, c2)  # group (l): simulate now
-                if rem >= 2:
-                    plant(p, rem - 2, c2)  # groups (q)+(r): wait one letter
-            if rem == 1:
-                note_reject(c)  # group (q) then (s): waited past the level
-        entries = reached
-
-    candidates = list(entries.values())
-    if best_reject is not None:
-        candidates.append(best_reject)
-    return max(candidates, default=0)
+    scores = {p: int(p in final)
+              for p, _ in base.moves(base.initial, depth_labels[0], z0)}
+    for x in depth_labels[1:]:
+        reached: dict[str, int] = {}
+        for q, c in scores.items():
+            for p, _ in base.moves(q, x, z0):
+                c2 = c + (p in final)
+                if reached.get(p, -1) < c2:
+                    reached[p] = c2
+        scores = reached
+    return max(scores.values(), default=0)

@@ -1,5 +1,11 @@
 """Finite-state machines with Buchi and Muller acceptance, decided exactly
-on ultimately periodic words via the product with the lasso's position graph.
+on ultimately periodic words.
+
+Both conditions are decided by one strongly-connected-component search on
+the product of the machine with the lasso's position graph, built only over
+the (state, position) nodes reachable from (initial, 0).  An accepting
+verdict comes with a run witness whose cycle is a closed walk through the
+whole accepting component.
 """
 
 from __future__ import annotations
@@ -70,44 +76,6 @@ class RunWitness:
         return s[i] if i < len(s) else c[(i - len(s)) % len(c)]
 
 
-def _product_edges(fsm: Fsm, w: Lasso):
-    """The finite graph of (state, lasso position) nodes."""
-    su, sv = len(w.spoke), len(w.cycle)
-    length = su + sv
-
-    def nxt(i: int) -> int:
-        return i + 1 if i + 1 < length else su
-
-    edges: dict[tuple[str, int], list[tuple[str, int]]] = {}
-    for q in sorted(fsm.states):
-        for i in range(length):
-            a = w.symbol_at(i)
-            edges[(q, i)] = [(p, nxt(i)) for p in sorted(fsm.delta(q, a))]
-    return edges
-
-
-def _reachable(edges, start):
-    seen = {start}
-    parent = {start: None}
-    frontier = [start]
-    while frontier:
-        n = frontier.pop()
-        for m in edges[n]:
-            if m not in seen:
-                seen.add(m)
-                parent[m] = n
-                frontier.append(m)
-    return seen, parent
-
-
-def _path_from_parents(parent, node):
-    path = [node]
-    while parent[path[-1]] is not None:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return path
-
-
 @dataclass(frozen=True)
 class BuchiAutomaton:
     machine: Fsm
@@ -119,50 +87,11 @@ class BuchiAutomaton:
 
     def decide_lasso(self, w: Lasso) -> tuple[bool, RunWitness | None]:
         """Does some run on w visit a final state infinitely often?"""
-        if w.alphabet.letters != self.machine.alphabet.letters:
-            raise ValueError("lasso alphabet differs from machine alphabet")
-        edges = _product_edges(self.machine, w)
-        start = (self.machine.initial, 0)
-        reach, parent = _reachable(edges, start)
-        for node in sorted(reach):
-            q, _ = node
-            if q not in self.final:
-                continue
-            cycle_path = _find_cycle(edges, node)
-            if cycle_path is not None:
-                spoke_path = _path_from_parents(parent, node)
-                spoke = tuple(q2 for q2, _ in spoke_path[:-1])
-                cycle = tuple(q2 for q2, _ in cycle_path[:-1])
-                return True, RunWitness(spoke, cycle)
-        return False, None
+        return _decide(self.machine, w, [
+            (self.machine.states, lambda states: states & self.final)])
 
     def accepts_lasso(self, w: Lasso) -> bool:
         return self.decide_lasso(w)[0]
-
-
-def _find_cycle(edges, node):
-    """A closed path [node, ..., node] of length >= 1, or None."""
-    parent: dict = {}
-    frontier = []
-    for m in edges[node]:
-        if m == node:
-            return [node, node]
-        if m not in parent:
-            parent[m] = None
-            frontier.append(m)
-    while frontier:
-        n = frontier.pop()
-        for m in edges[n]:
-            if m == node:
-                path = [n]
-                while parent[path[-1]] is not None:
-                    path.append(parent[path[-1]])
-                path.reverse()
-                return [node] + path + [node]
-            if m not in parent:
-                parent[m] = n
-                frontier.append(m)
-    return None
 
 
 @dataclass(frozen=True)
@@ -177,32 +106,63 @@ class MullerAutomaton:
 
     def decide_lasso(self, w: Lasso) -> tuple[bool, RunWitness | None]:
         """Does some run have infinity set exactly equal to a table entry?"""
-        if w.alphabet.letters != self.machine.alphabet.letters:
-            raise ValueError("lasso alphabet differs from machine alphabet")
-        edges = _product_edges(self.machine, w)
-        start = (self.machine.initial, 0)
-        reach, parent = _reachable(edges, start)
-        for entry in sorted(self.table, key=sorted):
-            sub_nodes = {n for n in edges if n[0] in entry}
-            sub = {n: [m for m in edges[n] if m in sub_nodes] for n in sub_nodes}
-            for comp in _sccs(sub):
-                internal = any(m in comp for n in comp for m in sub[n])
-                if not internal:
-                    continue
-                if {q for q, _ in comp} != set(entry):
-                    continue
-                anchor = next((n for n in sorted(comp) if n in reach), None)
-                if anchor is None:
-                    continue
-                walk = _covering_walk(sub, comp, anchor)
-                spoke_path = _path_from_parents(parent, anchor)
-                spoke = tuple(q for q, _ in spoke_path[:-1])
-                cycle = tuple(q for q, _ in walk[:-1])
-                return True, RunWitness(spoke, cycle)
-        return False, None
+        return _decide(self.machine, w, [
+            (entry, entry.__eq__) for entry in sorted(self.table, key=sorted)])
 
     def accepts_lasso(self, w: Lasso) -> bool:
         return self.decide_lasso(w)[0]
+
+
+def _reachable_product(fsm: Fsm, w: Lasso):
+    """The (state, lasso position) nodes reachable from (initial, 0): their
+    successor lists, and the parent links of the walk that found them."""
+    su, length = len(w.spoke), len(w.spoke) + len(w.cycle)
+    start = (fsm.initial, 0)
+    edges: dict[tuple[str, int], list[tuple[str, int]]] = {}
+    parent: dict = {start: None}
+    frontier = [start]
+    while frontier:
+        node = frontier.pop()
+        q, i = node
+        j = i + 1 if i + 1 < length else su
+        edges[node] = [(p, j) for p in sorted(fsm.delta(q, w.symbol_at(i)))]
+        for m in edges[node]:
+            if m not in parent:
+                parent[m] = node
+                frontier.append(m)
+    return edges, parent
+
+
+def _decide(fsm: Fsm, w: Lasso, conditions):
+    """Search the reachable product for an accepting cycle.
+
+    Each condition is a pair (keep, good): a cycle may use only nodes whose
+    state is in keep, and the states of its strongly connected component
+    must satisfy good.  The conditions are tried in order; the first
+    component that meets one gives the witness, a closed walk through the
+    whole component from its least node, reached by the walk's spoke.
+    """
+    if w.alphabet.letters != fsm.alphabet.letters:
+        raise ValueError("lasso alphabet differs from machine alphabet")
+    edges, parent = _reachable_product(fsm, w)
+    for keep, good in conditions:
+        sub = {n: [m for m in succ if m[0] in keep]
+               for n, succ in edges.items() if n[0] in keep}
+        for comp in _sccs(sub):
+            if not any(m in comp for n in comp for m in sub[n]):
+                continue
+            if not good({q for q, _ in comp}):
+                continue
+            anchor = min(comp)
+            spoke: list[str] = []
+            node = parent[anchor]
+            while node is not None:
+                spoke.append(node[0])
+                node = parent[node]
+            cycle = _covering_walk(sub, comp, anchor)
+            return True, RunWitness(tuple(reversed(spoke)),
+                                    tuple(q for q, _ in cycle[:-1]))
+    return False, None
 
 
 def _sccs(graph: dict) -> list[set]:

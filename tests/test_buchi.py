@@ -17,6 +17,12 @@ def ones_acceptor():
     return BuchiAutomaton(fsm, frozenset({"qf"}))
 
 
+def unreachable_loop_machine():
+    """q0 loops on every letter; qf loops too but cannot be reached."""
+    return Fsm(frozenset({"q0", "qf"}), BITS, "q0", frozenset(
+        (q, a, q) for q in ("q0", "qf") for a in BITS))
+
+
 def random_fsm(rng, n_states, total=False):
     states = tuple(f"s{i}" for i in range(n_states))
     trans = set()
@@ -49,6 +55,10 @@ def test_buchi_examples():
     empty_final = BuchiAutomaton(aut.machine, frozenset())
     for text in ("01", "0", "1"):
         assert not empty_final.accepts_lasso(lasso(BITS, "", text))
+    # the only cycle through a final state is unreachable from the start
+    unreachable = BuchiAutomaton(unreachable_loop_machine(), frozenset({"qf"}))
+    for u, v in (("", "01"), ("1", "0"), ("", "1")):
+        assert not unreachable.accepts_lasso(lasso(BITS, u, v))
 
 
 def test_buchi_witness_replays():
@@ -70,6 +80,11 @@ def test_muller_examples():
     assert not mu.accepts_lasso(lasso(BITS, "", "0"))
     assert not MullerAutomaton(aut.machine, frozenset()).accepts_lasso(
         lasso(BITS, "", "01"))
+    # the only cycle with infinity set {qf} is unreachable from the start
+    unreachable = MullerAutomaton(unreachable_loop_machine(),
+                                  frozenset({frozenset({"qf"})}))
+    for u, v in (("", "01"), ("1", "0"), ("", "1")):
+        assert not unreachable.accepts_lasso(lasso(BITS, u, v))
 
 
 def test_muller_one_state_self_loops():
@@ -97,7 +112,11 @@ def test_buchi_agrees_with_subset_oracle():
         final = frozenset(s for s in fsm.states if rng.random() < 0.5)
         aut = BuchiAutomaton(fsm, final)
         w = random_lasso(rng, BITS, 4, 4)
-        assert aut.accepts_lasso(w) == buchi_oracle(aut, w)
+        got, witness = aut.decide_lasso(w)
+        assert got == buchi_oracle(aut, w)
+        if got:
+            assert replay_ok(fsm, w, witness)
+            assert witness.inf_set & aut.final
 
 
 def test_muller_agrees_with_subset_oracle():
